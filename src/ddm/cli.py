@@ -21,7 +21,7 @@ from .checkpoint import atomic_write_text
 from .config import METRICS, ABLATIONS, RunConfig
 from .errors import ConfigError, DDMError, DataError, NumericError
 from .evaluation import VideoOutcome, evaluate, format_csv, format_table
-from .inference import Prediction, predict_dataset, score_video, select_peaks
+from .inference import predict_dataset, score_and_predict
 from .model import BoundaryModel
 from .plot import score_curve_svg
 from .synth import generate_dataset, read_dataset, read_manifest, write_dataset
@@ -156,12 +156,9 @@ def cmd_infer(args) -> int:
         plot_dir = os.path.join(os.fspath(args.out), "plots")
         os.makedirs(plot_dir, exist_ok=True)
         for video in videos:
-            positions, scores = score_video(model, video, cfg)
-            kept = select_peaks(scores, cfg.post)
-            predictions.append(Prediction(
-                video_id=video.video_id,
-                positions=tuple(int(positions[i]) for i in kept),
-                scores=tuple(float(scores[i]) for i in kept)))
+            prediction, positions, scores, kept = score_and_predict(
+                model, video, cfg)
+            predictions.append(prediction)
             svg = score_curve_svg(positions, scores, kept,
                                   theta=cfg.post.theta,
                                   boundaries=video.boundaries,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_records
 from .config import ModelConfig
 from .errors import ConfigError, DimensionError
 from .feature_bank import FeatureBank
@@ -104,12 +103,6 @@ def raw_difference_maps(bank: FeatureBank, metric: str = "euclidean") -> T.Tenso
     maps = [pairwise_distances(level, metric) for level in bank.levels]
     b, t, _ = maps[0].shape
     return T.concatenate([m.reshape(b, t, t, 1) for m in maps], axis=-1)
-
-
-def dump_raw_maps(path, raw: T.Tensor | np.ndarray) -> None:
-    """Debug export of a raw map stack to the record container."""
-    data = raw.data if isinstance(raw, T.Tensor) else np.asarray(raw)
-    save_records(path, {"raw_maps": data})
 
 
 class DiffMapEmbedding:

@@ -9,6 +9,12 @@ one per dilation in the schedule, yielding m x n sequences in total -- the
 feature bank.  The deepest spatial sequence itself (before any temporal
 convolution) is kept as the appearance stream ``rgb``.
 
+The backbone sees one frame at a time, so a frame's spatial features do not
+depend on the clip it sits in: overlapping clips can share one backbone pass
+per frame (:func:`ddm.inference.score_video` does).  Only the temporal levels
+see clip borders.  :func:`build_feature_bank` is the two halves in a row,
+:meth:`FeatureExtractor.spatial_sequences` then :func:`temporal_bank`.
+
 Temporal convolutions are linear (no activation) and use edge replication
 at the clip borders, so a constant sequence stays constant and an identity
 kernel reproduces its input exactly.
@@ -113,8 +119,16 @@ class FeatureBank:
 
 
 def build_feature_bank(extractor: FeatureExtractor, clips) -> FeatureBank:
+    return temporal_bank(extractor, extractor.spatial_sequences(clips))
+
+
+def temporal_bank(extractor: FeatureExtractor, seqs) -> FeatureBank:
+    """The bank of per-stage spatial sequences, each (B, T, C_s)."""
     cfg = extractor.cfg
-    seqs = extractor.spatial_sequences(clips)
+    if len(seqs) != len(cfg.backbone_widths):
+        raise DimensionError(
+            f"expected {len(cfg.backbone_widths)} stage sequences, got "
+            f"{len(seqs)}")
     levels = []
     widths = []
     for s, seq in enumerate(seqs):

@@ -19,10 +19,10 @@ import numpy as np
 
 from .config import PostConfig, RunConfig
 from .errors import ContractError, NumericError
-from .feature_bank import sample_clip
+from .feature_bank import clip_indices, sample_clip  # noqa: F401 (re-export)
 from .model import BoundaryModel
 from .synth import VideoRecord
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 from .training import evaluated_positions
 
 log = logging.getLogger("ddm.inference")
@@ -34,20 +34,35 @@ def score_video(model: BoundaryModel, video: VideoRecord, cfg: RunConfig,
 
     Returns (positions, scores), both 1-d with one entry per evaluated
     frame position.
+
+    The backbone sees one frame at a time, so each distinct frame the clips
+    read goes through it once, in chunks of at most ``batch_size`` clips'
+    worth of frames; every batch of ``batch_size`` positions then gathers
+    its clips' stage sequences and runs the temporal levels, which alone
+    see clip borders, and everything after them.  Scores equal per-clip
+    ``model.forward``; nothing outlives the call.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     positions = evaluated_positions(video.num_frames, cfg.eval_stride)
-    pieces = []
+    index = np.stack([clip_indices(video.num_frames, int(pos), cfg.clip)
+                      for pos in positions])  # (P, T) frame numbers
+    frames, index = np.unique(index, return_inverse=True)
+    index = index.reshape(len(positions), cfg.clip.length)
+    chunk = batch_size * cfg.clip.length
     with no_grad():
+        parts = []
+        for lo in range(0, len(frames), chunk):
+            batch = video.frames[frames[lo:lo + chunk]][None].astype(np.float64)
+            parts.append([seq.data[0]
+                          for seq in model.extractor.spatial_sequences(batch)])
+        stages = [np.concatenate(s) for s in zip(*parts)]  # (frames, C_s)
+        pieces = []
         for lo in range(0, len(positions), batch_size):
-            clips = np.stack([
-                sample_clip(video, int(pos), cfg.clip)
-                for pos in positions[lo:lo + batch_size]])
-            out = model.forward(clips.astype(np.float64))
+            rows = index[lo:lo + batch_size]
+            out = model.forward_sequences([Tensor(s[rows]) for s in stages])
             pieces.append(out.fused.data.copy())
-    scores = np.concatenate(pieces) if pieces else np.zeros(0)
-    return positions, scores
+    return positions, np.concatenate(pieces)
 
 
 def select_peaks(scores: np.ndarray, cfg: PostConfig) -> np.ndarray:
@@ -83,11 +98,20 @@ class Prediction:
 
 def predict_video(model: BoundaryModel, video: VideoRecord,
                   cfg: RunConfig) -> Prediction:
+    return score_and_predict(model, video, cfg)[0]
+
+
+def score_and_predict(model: BoundaryModel, video: VideoRecord,
+                      cfg: RunConfig
+                      ) -> tuple[Prediction, np.ndarray, np.ndarray, np.ndarray]:
+    """(prediction, positions, scores, kept): the prediction together with
+    the score curve it was selected from; ``kept`` indexes ``scores``."""
     positions, scores = score_video(model, video, cfg)
     kept = select_peaks(scores, cfg.post)
-    return Prediction(video_id=video.video_id,
-                      positions=tuple(int(positions[i]) for i in kept),
-                      scores=tuple(float(scores[i]) for i in kept))
+    prediction = Prediction(video_id=video.video_id,
+                            positions=tuple(int(positions[i]) for i in kept),
+                            scores=tuple(float(scores[i]) for i in kept))
+    return prediction, positions, scores, kept
 
 
 def predict_dataset(model: BoundaryModel, videos: list[VideoRecord],

@@ -3,7 +3,9 @@
 Forward pipeline for a batch of clips (B, T, H, W, 3):
 
 1. feature bank: backbone sequences per spatial stage, temporal branches on
-   each (the deepest spatial sequence doubles as the appearance stream),
+   each (the deepest spatial sequence doubles as the appearance stream);
+   :meth:`BoundaryModel.forward_sequences` enters here with the backbone
+   sequences already computed,
 2. raw pairwise difference maps per bank level, embedded to C channels,
 3. map squeeze to a difference sequence (B, T, C),
 4. intra-modal query decoders on both sequences,
@@ -31,7 +33,7 @@ from .attention import CoAttention, MapSqueeze, QueryDecoder
 from .config import ModelConfig
 from .diffmap import DiffMapEmbedding, raw_difference_maps
 from .errors import DataError
-from .feature_bank import FeatureExtractor, build_feature_bank
+from .feature_bank import FeatureExtractor, build_feature_bank, temporal_bank
 from .head import FusionHead, boundary_probability, complete_loss
 
 
@@ -65,9 +67,6 @@ class BoundaryModel:
             out.update(module.named_params())
         return out
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.named_params().values())
-
     def load_state(self, records: dict[str, np.ndarray]) -> None:
         params = self.named_params()
         missing = sorted(set(params) - set(records))
@@ -95,9 +94,23 @@ class BoundaryModel:
         return self.squeeze.forward(bank.rgb, embedded, collect)
 
     def forward(self, clips, collect: list | None = None) -> ModelOutput:
-        cfg = self.cfg
-        mode = cfg.ablate
-        bank = build_feature_bank(self.extractor, clips)
+        """Scores a clip batch (B, T, H, W, 3)."""
+        return self._forward_bank(build_feature_bank(self.extractor, clips),
+                                  collect)
+
+    def forward_sequences(self, seqs, collect: list | None = None
+                          ) -> ModelOutput:
+        """Scores clips from their per-stage backbone sequences.
+
+        ``seqs`` holds one (B, T, C_s) sequence per backbone stage, as
+        :meth:`FeatureExtractor.spatial_sequences` returns them;
+        ``forward(clips)`` equals ``forward_sequences(
+        self.extractor.spatial_sequences(clips))``.
+        """
+        return self._forward_bank(temporal_bank(self.extractor, seqs), collect)
+
+    def _forward_bank(self, bank, collect) -> ModelOutput:
+        mode = self.cfg.ablate
         app_seq = bank.rgb
 
         if mode == "rgb-only":

@@ -557,15 +557,28 @@ def transpose(x, axes) -> Tensor:
     return _record(out, (x,), bw)
 
 
+_BASIC_KEYS = (slice, int, np.integer, type(None), type(Ellipsis))
+
+
 def take(x, key) -> Tensor:
-    """Basic (slice/integer) indexing with zero-scatter backward."""
+    """Indexing with a scatter backward.
+
+    Basic keys (slices, integers) select each element at most once, so the
+    gradient is assigned; index arrays may repeat an element, so their
+    gradient is accumulated with ``np.add.at`` (several times slower).
+    """
     x = _as_tensor(x)
     out = Tensor(x.data[key])
     shape = x.shape
+    parts = key if isinstance(key, tuple) else (key,)
+    basic = all(isinstance(k, _BASIC_KEYS) for k in parts)
 
     def bw(g):
         gz = np.zeros(shape)
-        gz[key] = g
+        if basic:
+            gz[key] = g
+        else:
+            np.add.at(gz, key, g)
         return (gz,)
 
     return _record(out, (x,), bw)

@@ -7,7 +7,7 @@ from ddm import tensor as T
 from ddm.config import ClipSpec, ModelConfig
 from ddm.errors import ContractError, DimensionError
 from ddm.feature_bank import (FeatureExtractor, build_feature_bank,
-                              clip_indices, sample_clip)
+                              clip_indices, sample_clip, temporal_bank)
 from ddm.synth import VideoRecord
 
 from oracles import check_gradients
@@ -87,6 +87,28 @@ def test_rgb_is_the_deepest_spatial_sequence():
     # the backbone through it
     T.backward(bank.rgb.sum())
     assert fx.params["backbone/0/w"].grad is not None
+
+
+def test_spatial_features_do_not_depend_on_the_clip():
+    # the premise of per-video frame reuse: a frame's backbone features are
+    # the same whichever clip, or batch of frames, carries it
+    rng = np.random.default_rng(5)
+    fx = FeatureExtractor(TINY, rng)
+    frames = rng.random((7, 8, 8, 3))
+    clips = frames[np.array([[0, 1, 2, 3, 4], [2, 3, 4, 5, 6]])]
+    per_clip = fx.spatial_sequences(clips)
+    per_frame = fx.spatial_sequences(frames[None])
+    for clip_seq, frame_seq in zip(per_clip, per_frame):
+        assert np.max(np.abs(clip_seq.data[1, :3] - frame_seq.data[0, 2:5])) \
+            <= 1e-12
+
+
+def test_temporal_bank_rejects_wrong_stage_count():
+    rng = np.random.default_rng(6)
+    fx = FeatureExtractor(TINY, rng)
+    seqs = fx.spatial_sequences(rng.random((1, 5, 8, 8, 3)))
+    with pytest.raises(DimensionError):
+        temporal_bank(fx, seqs[:1])
 
 
 def test_constant_clip_gives_time_constant_features():

@@ -1,5 +1,6 @@
 """Score curves, peak selection, and dataset prediction."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddm.config import (ClipSpec, GenSpec, ModelConfig, PostConfig, RunConfig,
-                        TrainConfig)
+from ddm.config import (ABLATIONS, ClipSpec, GenSpec, ModelConfig, PostConfig,
+                        RunConfig, TrainConfig)
 from ddm.errors import ContractError, NumericError
 from ddm.inference import (Prediction, predict_dataset, predict_video,
                            score_video, select_peaks)
+from ddm.feature_bank import sample_clip
 from ddm.model import BoundaryModel
-from ddm.synth import generate_video
-from ddm.training import evaluated_positions
+from ddm.synth import VideoRecord, generate_video
+from ddm.tensor import backward, no_grad
+from ddm.training import adam_init, adam_step, evaluated_positions
 from oracles import select_peaks_ref
 
 # ---------------------------------------------------------------------------
@@ -156,3 +159,89 @@ def test_predict_dataset_rejects_bad_workers(tiny_model):
 def test_prediction_is_plain_data():
     p = Prediction("vid", (3, 9), (0.9, 0.8))
     assert p.positions == (3, 9) and p.scores == (0.9, 0.8)
+
+
+# ---------------------------------------------------------------------------
+# frame reuse: score_video runs each distinct frame through the backbone once
+# and must give the scores of a per-clip forward
+
+
+def per_clip_scores(model, video, cfg):
+    positions = evaluated_positions(video.num_frames, cfg.eval_stride)
+    with no_grad():
+        return np.array([
+            model.forward(sample_clip(video, int(pos), cfg.clip)[None]
+                          .astype(np.float64)).fused.data[0]
+            for pos in positions])
+
+
+def random_video(num_frames, seed=0):
+    frames = np.random.default_rng(seed).random(
+        (num_frames, TINY.gen.height, TINY.gen.width, 3)).astype(np.float32)
+    return VideoRecord("val-rand", frames, (), "val")
+
+
+def assert_matches_per_clip(model, video, cfg, batch_size=64):
+    _, scores = score_video(model, video, cfg, batch_size=batch_size)
+    expected = per_clip_scores(model, video, cfg)
+    assert scores.shape == expected.shape
+    assert np.max(np.abs(scores - expected)) <= 1e-12
+
+
+def test_reuse_matches_per_clip_when_clips_clamp_at_both_ends(tiny_model):
+    # a clip spans 2 * half_window * stride + 1 = 9 frames
+    assert_matches_per_clip(tiny_model, random_video(6), TINY)
+
+
+def test_reuse_matches_per_clip_off_grid_last_frame(tiny_model):
+    video = random_video(20)
+    assert (video.num_frames - 1) % TINY.eval_stride != 0
+    assert_matches_per_clip(tiny_model, video, TINY)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_reuse_matches_per_clip_small_batches(tiny_model, tiny_video,
+                                              batch_size):
+    assert_matches_per_clip(tiny_model, tiny_video, TINY, batch_size)
+
+
+def test_reuse_matches_per_clip_across_backbone_chunks(tiny_model):
+    # batch_size 2 gives 2 * 5 = 10-frame backbone chunks; 40 frames read
+    # by the clips span several of them
+    video = random_video(40)
+    assert 2 * TINY.clip.length < video.num_frames
+    assert_matches_per_clip(tiny_model, video, TINY, batch_size=2)
+
+
+def test_reuse_matches_per_clip_single_frame_clips():
+    cfg = dataclasses.replace(TINY, clip=ClipSpec(half_window=0, stride=2))
+    model = BoundaryModel(cfg.model, seed=1)
+    assert_matches_per_clip(model, random_video(11), cfg, batch_size=3)
+
+
+@pytest.mark.parametrize("mode", ABLATIONS)
+def test_reuse_matches_per_clip_every_ablation(tiny_video, mode):
+    cfg = dataclasses.replace(
+        TINY, model=dataclasses.replace(TINY.model, ablate=mode))
+    model = BoundaryModel(cfg.model, seed=2)
+    assert_matches_per_clip(model, tiny_video, cfg, batch_size=4)
+
+
+def test_score_video_rerun_is_bit_identical(tiny_model, tiny_video):
+    _, first = score_video(tiny_model, tiny_video, TINY, batch_size=4)
+    _, second = score_video(tiny_model, tiny_video, TINY, batch_size=4)
+    assert np.array_equal(first, second)
+
+
+def test_score_video_follows_a_parameter_update(tiny_video):
+    model = BoundaryModel(TINY.model, seed=3)
+    _, before = score_video(model, tiny_video, TINY)
+    params = model.named_params()
+    clips = np.stack([sample_clip(tiny_video, pos, TINY.clip)
+                      for pos in (0, 9)]).astype(np.float64)
+    backward(model.loss(model.forward(clips), np.array([1.0, 0.0])))
+    adam_step(params, adam_init(params), lr=1e-2)
+    _, after = score_video(model, tiny_video, TINY)
+    assert not np.array_equal(before, after)
+    assert np.max(np.abs(after - per_clip_scores(model, tiny_video, TINY))) \
+        <= 1e-12

@@ -30,6 +30,17 @@ def test_forward_shapes_full_mode():
     assert 0.0 < out.alpha < 1.0
 
 
+def test_forward_is_backbone_then_forward_sequences():
+    rng = np.random.default_rng(4)
+    clips = _clips(rng)
+    model = BoundaryModel(TINY, seed=1)
+    whole = model.forward(clips)
+    split = model.forward_sequences(model.extractor.spatial_sequences(clips))
+    assert whole.fused.data.tobytes() == split.fused.data.tobytes()
+    assert whole.app.data.tobytes() == split.app.data.tobytes()
+    assert whole.map.data.tobytes() == split.map.data.tobytes()
+
+
 @pytest.mark.parametrize("mode,has_app,has_map,alpha", [
     ("rgb-only", True, False, 1.0),
     ("ddm-only", False, True, 0.0),

@@ -149,6 +149,14 @@ def _b_reshape_transpose_take(rng):
         x.reshape(2, 3, 4).transpose(2, 0, 1)[1:3, :, 0], probe)
 
 
+def _b_take_repeated(rng):
+    # index arrays may pick one row several times; its gradient must add up
+    x = T.parameter(rng.standard_normal((4, 3)))
+    probe = rng.standard_normal((5, 2))
+    rows = np.array([0, 0, 2, 3, 0])
+    return [x], lambda: _probe_loss(x[rows, 1:], probe)
+
+
 def _b_concat(rng):
     a = T.parameter(rng.standard_normal((2, 3)))
     b = T.parameter(rng.standard_normal((2, 2)))
@@ -189,6 +197,7 @@ PRIMITIVES = {
     "softmax": _b_softmax, "layer_norm": _b_layer_norm, "clip": _b_clip,
     "sum": _b_sum, "mean": _b_mean, "max": _b_max,
     "reshape_transpose_take": _b_reshape_transpose_take,
+    "take_repeated": _b_take_repeated,
     "concat": _b_concat, "conv1d": _b_conv1d,
     "conv1d_edge_dilated": _b_conv1d_edge_dilated, "conv2d": _b_conv2d,
 }
@@ -260,6 +269,12 @@ def test_max_tie_gradient_goes_to_first():
     x = T.parameter([[2.0, 5.0, 5.0, 1.0]])
     T.backward(x.max(axis=1).sum())
     assert x.grad.tolist() == [[0.0, 1.0, 0.0, 0.0]]
+
+
+def test_take_repeated_index_gradient_accumulates():
+    x = T.parameter([1.0, 2.0, 3.0])
+    T.backward(x[np.array([0, 0, 2])].sum())
+    assert x.grad.tolist() == [2.0, 0.0, 1.0]
 
 
 def test_conv2d_ones_count_in_bounds_neighbourhood():
