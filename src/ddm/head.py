@@ -54,16 +54,12 @@ class FusionHead:
         grown = np.exp(raw)
         return float(grown / (1.0 + grown))
 
-    def fuse(self, l_app: T.Tensor, l_map: T.Tensor,
-             alpha_override: float | None = None) -> T.Tensor:
-        """Blend two (B, 2) logit pairs; override freezes the blend weight."""
+    def fuse(self, l_app: T.Tensor, l_map: T.Tensor) -> T.Tensor:
+        """Blend two (B, 2) logit pairs with the learned weight alpha."""
         if l_app.shape != l_map.shape:
             raise DimensionError(
                 f"logit shapes differ: {l_app.shape} vs {l_map.shape}")
-        if alpha_override is None:
-            alpha = T.sigmoid(self.params["head/alpha"])
-        else:
-            alpha = T.Tensor(float(alpha_override))
+        alpha = T.sigmoid(self.params["head/alpha"])
         return alpha * l_app + (1.0 - alpha) * l_map
 
 

@@ -169,7 +169,9 @@ def generate_dataset(spec: GenSpec, workers: int = 1) -> list[VideoRecord]:
     """All train and val videos of the corpus, in manifest order."""
     jobs = [(f"train-{i:04d}", "train") for i in range(spec.train_videos)]
     jobs += [(f"val-{i:04d}", "val") for i in range(spec.val_videos)]
-    if workers <= 1:
+    if workers < 1:
+        raise ContractError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return [generate_video(spec, vid, split) for vid, split in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda jv: generate_video(spec, jv[0], jv[1]), jobs))

@@ -606,7 +606,8 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions (stride 1, same padding, odd kernels)
+# convolution (stride 1, same padding, odd kernels): one shift-and-matmul
+# kernel in conv2d; conv1d is a 1 x K conv2d over a height-1 image
 
 
 def conv1d(x, w, b=None, dilation: int = 1, pad_mode: str = "zero") -> Tensor:
@@ -615,67 +616,28 @@ def conv1d(x, w, b=None, dilation: int = 1, pad_mode: str = "zero") -> Tensor:
     Stride is fixed at 1 and the output keeps length T ("same" padding).
     ``pad_mode`` selects zero padding or edge replication; replication is
     what the temporal feature branches use so that a constant sequence maps
-    to a constant sequence.
+    to a constant sequence.  The work is done by :func:`conv2d` on the
+    sequence viewed as an ``(N, 1, T, C_in)`` image with a ``1 x K`` kernel.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    if b is not None:
-        b = _as_tensor(b)
     if x.ndim != 3 or w.ndim != 3:
         raise DimensionError(
             f"conv1d expects (N,T,C) and (K,C,O), got {x.shape} and {w.shape}")
-    klen, cin, cout = w.shape
-    if klen % 2 == 0:
-        raise DimensionError(f"conv1d kernel length must be odd, got {klen}")
-    if x.shape[-1] != cin:
-        raise DimensionError(
-            f"conv1d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    if dilation < 1:
-        raise ContractError(f"conv1d dilation must be >= 1, got {dilation}")
-    if pad_mode not in ("zero", "edge"):
-        raise ContractError(f"unknown pad_mode {pad_mode!r}")
-    n, t, _ = x.shape
-    if t < 1:
-        raise DimensionError("conv1d input has no time steps")
-    pad = (klen - 1) * dilation // 2
-    mode = "constant" if pad_mode == "zero" else "edge"
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0)), mode=mode)
-    acc = np.zeros((n * t, cout))
-    for k in range(klen):
-        s = xp[:, k * dilation:k * dilation + t, :]
-        acc += s.reshape(-1, cin) @ w.data[k]
-    y = acc.reshape(n, t, cout)
-    if b is not None:
-        if b.shape != (cout,):
-            raise DimensionError(
-                f"conv1d bias must have shape ({cout},), got {b.shape}")
-        y = y + b.data
-    out = Tensor(y)
-    wd = w.data
-    parents = (x, w) if b is None else (x, w, b)
-
-    def bw(g):
-        g2 = g.reshape(-1, cout)
-        gw = np.empty_like(wd)
-        gxp = np.zeros_like(xp)
-        for k in range(klen):
-            s = xp[:, k * dilation:k * dilation + t, :]
-            gw[k] = s.reshape(-1, cin).T @ g2
-            gxp[:, k * dilation:k * dilation + t, :] += \
-                (g2 @ wd[k].T).reshape(n, t, cin)
-        gx = gxp[:, pad:pad + t, :].copy()
-        if pad_mode == "edge" and pad > 0:
-            gx[:, 0, :] += gxp[:, :pad, :].sum(axis=1)
-            gx[:, -1, :] += gxp[:, pad + t:, :].sum(axis=1)
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 1))
-
-    return _record(out, parents, bw)
+    n, t, cin = x.shape
+    y = conv2d(x.reshape(n, 1, t, cin), w.reshape(1, *w.shape), b, dilation,
+               pad_mode)
+    return y.reshape(n, t, w.shape[-1])
 
 
-def conv2d(x, w, b=None, dilation: int = 1) -> Tensor:
+def conv2d(x, w, b=None, dilation: int = 1, pad_mode: str = "zero") -> Tensor:
     """Spatial convolution over ``(N, H, W, C_in)`` with kernel
-    ``(kh, kw, C_in, C_out)``; stride 1, same zero padding, odd kernels."""
+    ``(kh, kw, C_in, C_out)``; stride 1, same padding, odd kernels.
+
+    ``pad_mode`` is ``"zero"`` or ``"edge"`` (border replication).  With
+    edge padding, backward folds the gradient of each replicated border row
+    and column back onto the edge cell it copies, rows first and then
+    columns, so a corner cell also collects its whole padded corner block.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     if b is not None:
         b = _as_tensor(b)
@@ -690,12 +652,15 @@ def conv2d(x, w, b=None, dilation: int = 1) -> Tensor:
             f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     if dilation < 1:
         raise ContractError(f"conv2d dilation must be >= 1, got {dilation}")
+    if pad_mode not in ("zero", "edge"):
+        raise ContractError(f"unknown pad_mode {pad_mode!r}")
     n, h, wdt, _ = x.shape
     if h < 1 or wdt < 1:
         raise DimensionError(f"conv2d input has empty spatial extent: {x.shape}")
     ph = (kh - 1) * dilation // 2
     pw = (kw - 1) * dilation // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    mode = "constant" if pad_mode == "zero" else "edge"
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)), mode=mode)
     acc = np.zeros((n * h * wdt, cout))
     for i in range(kh):
         for j in range(kw):
@@ -724,7 +689,13 @@ def conv2d(x, w, b=None, dilation: int = 1) -> Tensor:
                 gxp[:, i * dilation:i * dilation + h,
                     j * dilation:j * dilation + wdt, :] += \
                     (g2 @ wd[i, j].T).reshape(n, h, wdt, cin)
-        gx = gxp[:, ph:ph + h, pw:pw + wdt, :]
+        if pad_mode == "edge" and ph:
+            gxp[:, ph] += gxp[:, :ph].sum(axis=1)
+            gxp[:, ph + h - 1] += gxp[:, ph + h:].sum(axis=1)
+        if pad_mode == "edge" and pw:
+            gxp[:, :, pw] += gxp[:, :, :pw].sum(axis=2)
+            gxp[:, :, pw + wdt - 1] += gxp[:, :, pw + wdt:].sum(axis=2)
+        gx = gxp[:, ph:ph + h, pw:pw + wdt]
         if ph or pw:
             gx = gx.copy()
         if b is None:

@@ -164,6 +164,8 @@ def test_usage_errors_exit_1(tmp_path):
     assert entry(["frobnicate"]) == 1
     assert entry(["gen-data"]) == 1  # missing --out
     assert entry(["gen-data", "--out", str(tmp_path), "--bogus"]) == 1
+    assert entry(["gen-data", "--preset", "desk", "--out",
+                  str(tmp_path / "d"), "--workers", "-3"]) == 1
 
 
 def test_preset_and_config_conflict(pipeline, tmp_path):

@@ -25,24 +25,6 @@ def test_logits_shape_and_query_pooling():
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
-def test_fuse_alpha_one_is_exactly_appearance():
-    rng = np.random.default_rng(1)
-    head = FusionHead(CFG, rng)
-    l_app = T.Tensor(rng.standard_normal((4, 2)))
-    l_map = T.Tensor(rng.standard_normal((4, 2)))
-    fused = head.fuse(l_app, l_map, alpha_override=1.0)
-    assert np.array_equal(fused.data, l_app.data)
-
-
-def test_fuse_alpha_zero_is_exactly_map():
-    rng = np.random.default_rng(2)
-    head = FusionHead(CFG, rng)
-    l_app = T.Tensor(rng.standard_normal((4, 2)))
-    l_map = T.Tensor(rng.standard_normal((4, 2)))
-    fused = head.fuse(l_app, l_map, alpha_override=0.0)
-    assert np.array_equal(fused.data, l_map.data)
-
-
 def test_fresh_head_blends_evenly():
     rng = np.random.default_rng(3)
     head = FusionHead(CFG, rng)

@@ -5,7 +5,7 @@ import pytest
 
 from ddm import synth
 from ddm.config import GenSpec
-from ddm.errors import DataError
+from ddm.errors import ContractError, DataError
 
 
 COLOR_ONLY = GenSpec(train_videos=4, val_videos=2, min_frames=40,
@@ -128,6 +128,12 @@ def test_worker_count_does_not_change_dataset():
     for a, b in zip(serial, threaded):
         assert a.video_id == b.video_id
         assert a.frames.tobytes() == b.frames.tobytes()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_generate_dataset_rejects_bad_workers(workers):
+    with pytest.raises(ContractError):
+        synth.generate_dataset(COLOR_ONLY, workers=workers)
 
 
 def test_corrupt_frames_file_rejected(tmp_path):

@@ -189,6 +189,17 @@ def _b_conv2d(rng):
     return [x, w, b], lambda: _probe_loss(T.conv2d(x, w, b), probe)
 
 
+def _b_conv2d_edge_dilated(rng):
+    # a 3x3 kernel at dilation 2 pads two cells on every side, so the
+    # replicated corner blocks fold back onto the corner cells on both axes
+    x = T.parameter(rng.standard_normal((2, 4, 5, 2)))
+    w = T.parameter(rng.standard_normal((3, 3, 2, 2)) * 0.4)
+    b = T.parameter(rng.standard_normal(2))
+    probe = rng.standard_normal((2, 4, 5, 2))
+    return [x, w, b], lambda: _probe_loss(
+        T.conv2d(x, w, b, dilation=2, pad_mode="edge"), probe)
+
+
 PRIMITIVES = {
     "add": _b_add, "sub": _b_sub, "mul": _b_mul, "div": _b_div,
     "matmul": _b_matmul, "matmul_batched": _b_matmul_batched,
@@ -200,6 +211,7 @@ PRIMITIVES = {
     "take_repeated": _b_take_repeated,
     "concat": _b_concat, "conv1d": _b_conv1d,
     "conv1d_edge_dilated": _b_conv1d_edge_dilated, "conv2d": _b_conv2d,
+    "conv2d_edge_dilated": _b_conv2d_edge_dilated,
 }
 
 
@@ -301,9 +313,19 @@ def test_conv1d_edge_padding_keeps_constant_sequences_constant():
     assert np.max(np.abs(out - out[:, :1, :])) == 0.0
 
 
-def test_conv_even_kernel_rejected():
-    with pytest.raises(DimensionError):
-        T.conv1d(T.Tensor(np.zeros((1, 4, 2))), T.Tensor(np.zeros((2, 2, 2))))
+@pytest.mark.parametrize("call, error", [
+    (lambda: T.conv1d(np.zeros((1, 4, 2)), np.zeros((2, 2, 2))),
+     DimensionError),
+    (lambda: T.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 2, 2, 2))),
+     DimensionError),
+    (lambda: T.conv1d(np.zeros((1, 4, 2)), np.zeros((3, 2, 2)),
+                      pad_mode="reflect"), ContractError),
+    (lambda: T.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2, 2)),
+                      pad_mode="reflect"), ContractError),
+], ids=["conv1d-even", "conv2d-even", "conv1d-pad-mode", "conv2d-pad-mode"])
+def test_conv_rejects_even_kernel_and_unknown_pad_mode(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # -- tape mechanics ---------------------------------------------------------
