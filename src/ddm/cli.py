@@ -219,6 +219,13 @@ def cmd_eval(args) -> int:
     if unknown:
         raise DataError(
             f"{args.predictions}: predictions for unknown videos {unknown}")
+    for entry in entries:
+        n = entry["num_frames"]
+        for p in predicted.get(entry["id"], ()):
+            if not 0 <= p < n:
+                raise DataError(
+                    f"{args.predictions}: video {entry['id']!r} has position "
+                    f"{p} outside [0, {n})")
 
     outcomes = [
         VideoOutcome(video_id=entry["id"], num_frames=entry["num_frames"],

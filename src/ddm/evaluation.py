@@ -2,9 +2,12 @@
 
 A prediction p may match a ground-truth boundary g of an E-frame video
 when their relative distance |p - g| / E is at most the threshold.  True
-positives are counted with a maximum bipartite matching (Kuhn's augmenting
-paths), so no prediction or boundary is used twice and the count is the
-best achievable; a cheaper greedy nearest-first variant is available for
+positives are counted with a maximum one-to-one matching, so no prediction
+or boundary is used twice and the count is the best achievable.  The rule
+makes the bipartite graph convex: in sorted order each prediction's
+compatible boundaries form a contiguous run whose ends only move right as
+the prediction grows, so one sorted two-pointer pass finds the maximum
+(Glover 1967).  A greedy nearest-first variant is available for
 comparison.  Scores are reported on the threshold grid 0.05, 0.10, ...,
 0.50 plus their average, either micro-averaged over all videos (counts
 pooled, the default) or macro-averaged (per-video scores averaged).
@@ -23,58 +26,42 @@ from .errors import ContractError, DataError
 log = logging.getLogger("ddm.evaluation")
 
 
-def relative_distance(pred: int, truth: int, num_frames: int) -> float:
-    return abs(pred - truth) / num_frames
-
-
-def _compatible(preds, truths, num_frames, threshold):
-    """Boolean (len(preds), len(truths)) matrix of allowed pairs."""
-    if num_frames < 1:
-        raise ContractError("video has no frames")
-    p = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
-    g = np.asarray(truths, dtype=np.float64).reshape(1, -1)
-    return np.abs(p - g) / num_frames <= threshold
-
-
 def match_count(preds, truths, num_frames: int, threshold: float,
                 method: str = "optimal") -> int:
-    """Number of matched prediction/boundary pairs."""
-    ok = _compatible(preds, truths, num_frames, threshold)
-    n_pred, n_truth = ok.shape
-    if n_pred == 0 or n_truth == 0:
-        return 0
+    """Number of matched prediction/boundary pairs; inputs may be unsorted."""
+    if method not in ("optimal", "greedy"):
+        raise ContractError(f"unknown matching method {method!r}")
+    if num_frames < 1:
+        raise ContractError("video has no frames")
     if method == "greedy":
-        taken = np.zeros(n_truth, dtype=bool)
+        p = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
+        g = np.asarray(truths, dtype=np.float64).reshape(1, -1)
+        gaps = np.abs(p - g)
+        ok = gaps / num_frames <= threshold
+        taken = np.zeros(g.shape[1], dtype=bool)
         count = 0
-        gaps = np.abs(np.asarray(preds, dtype=np.float64).reshape(-1, 1)
-                      - np.asarray(truths, dtype=np.float64).reshape(1, -1))
-        for i in range(n_pred):
+        for i in range(p.shape[0]):
             open_js = np.nonzero(ok[i] & ~taken)[0]
             if open_js.size:
                 j = open_js[np.argmin(gaps[i, open_js])]
                 taken[j] = True
                 count += 1
         return count
-    if method != "optimal":
-        raise ContractError(f"unknown matching method {method!r}")
 
-    # Kuhn's algorithm: repeatedly try to place each prediction, evicting
-    # earlier matches onto alternative boundaries when that frees a slot.
-    owner = np.full(n_truth, -1, dtype=np.int64)
-
-    def place(i: int, visited) -> bool:
-        for j in range(n_truth):
-            if ok[i, j] and not visited[j]:
-                visited[j] = True
-                if owner[j] < 0 or place(owner[j], visited):
-                    owner[j] = i
-                    return True
-        return False
-
-    count = 0
-    for i in range(n_pred):
-        if place(i, np.zeros(n_truth, dtype=bool)):
+    # Matching the two smallest unused positions whenever they are
+    # compatible is exact; otherwise the smaller one is out of reach of
+    # everything after it and is dropped.
+    p, g = sorted(preds), sorted(truths)
+    i = j = count = 0
+    while i < len(p) and j < len(g):
+        if abs(p[i] - g[j]) / num_frames <= threshold:
             count += 1
+            i += 1
+            j += 1
+        elif p[i] < g[j]:
+            i += 1
+        else:
+            j += 1
     return count
 
 

@@ -219,6 +219,22 @@ def test_corrupt_predictions_exit_2(pipeline, tmp_path):
                   "--predictions", str(preds)]) == 2
 
 
+@pytest.mark.parametrize("positions, bad", [([-5, 3], -5),
+                                           ([3, 1000000000], 1000000000),
+                                           ([3, 20], 20)])
+def test_out_of_range_predictions_exit_2(pipeline, tmp_path, capsys,
+                                         positions, bad):
+    # every val video has at most 20 frames, so position 20 is past its end
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"video": "val-0000", "positions": positions,
+                                 "scores": [0.9, 0.8]}) + "\n")
+    assert entry(["eval", "--data", str(pipeline.data),
+                  "--predictions", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert str(preds) in err and "val-0000" in err
+    assert f"position {bad} outside" in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_diverging_training_exits_3(pipeline, tmp_path):
     wild = dict(TINY, train=dict(TINY["train"], lr=1e150))

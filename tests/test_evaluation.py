@@ -1,5 +1,7 @@
 """Bipartite boundary matching and the precision/recall/F1 report."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,18 +10,11 @@ from hypothesis import strategies as st
 from ddm.config import EvalConfig
 from ddm.errors import ContractError, DataError
 from ddm.evaluation import (Report, VideoOutcome, evaluate, format_csv,
-                            format_table, match_count, precision_recall_f1,
-                            relative_distance)
+                            format_table, match_count, precision_recall_f1)
 from oracles import max_matching_ref
 
 # ---------------------------------------------------------------------------
 # matching
-
-
-def test_relative_distance():
-    assert relative_distance(10, 20, 100) == 0.1
-    assert relative_distance(20, 10, 100) == 0.1
-    assert relative_distance(7, 7, 50) == 0.0
 
 
 def test_match_count_inclusive_threshold_edge():
@@ -55,7 +50,11 @@ def test_match_count_rejects_unknown_method():
     with pytest.raises(ContractError):
         match_count((1,), (1,), 10, 0.5, "magic")
     with pytest.raises(ContractError):
-        match_count((1,), (1,), 0, 0.5)
+        match_count((), (3,), 10, 0.5, "magic")
+    for method in ("optimal", "greedy"):
+        for preds, truths in (((1,), (1,)), ((), (1,)), ((), ())):
+            with pytest.raises(ContractError):
+                match_count(preds, truths, 0, 0.5, method)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -73,6 +72,35 @@ def test_optimal_match_count_equals_exhaustive_search(case_seed):
     greedy = match_count(tuple(preds), tuple(truths), num_frames, threshold,
                          "greedy")
     assert greedy <= got
+
+
+@given(st.lists(st.integers(0, 29), max_size=8),
+       st.lists(st.integers(0, 29), max_size=8),
+       st.sampled_from(EvalConfig().thresholds))
+@settings(max_examples=100, deadline=None)
+def test_optimal_match_count_unsorted_with_duplicates(preds, truths,
+                                                      threshold):
+    # positions from a narrow range repeat and arrive in any order
+    assert match_count(tuple(preds), tuple(truths), 60, threshold) == \
+        max_matching_ref(preds, truths, 60, threshold)
+
+
+def test_optimal_match_count_scales_to_dense_videos():
+    # 10 000 interleaved predictions and boundaries, every pair compatible
+    preds = tuple(range(0, 20000, 2))
+    truths = tuple(range(1, 20000, 2))
+    assert match_count(preds[::-1], truths, 40000, 0.5) == 10000
+
+
+def test_optimal_match_count_many_predictions_is_fast():
+    # 1 500 predictions all compatible with 1 500 boundaries: deep enough
+    # to exhaust the interpreter's stack in a recursive augmenting search
+    rng = np.random.default_rng(0)
+    preds = tuple(int(x) for x in rng.integers(0, 3000, 1500))
+    truths = tuple(int(x) for x in rng.integers(0, 3000, 1500))
+    start = time.perf_counter()
+    assert match_count(preds, truths, 6000, 0.5) == 1500
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
