@@ -3,12 +3,12 @@
 Three pieces, applied in order by the model:
 
 * **Map squeeze** -- collapses the embedded map stack M (B, T, T, C) to one
-  vector per frame.  The attention logit for position (i, j) mixes the
-  appearance feature of frame i with the map cell (i, j) through learned
-  projections; softmax over j yields row weights, and row i's vectors are
-  averaged under them.  The weighted average is computed as an explicit
-  exponential-weight ratio so that zero squeeze logits reduce *exactly* to
-  the temporal mean (the degenerate average-pool case).
+  vector per frame.  Row i's vectors are averaged under a softmax over j
+  whose logit is a learned projection of the map cell (i, j) alone: a term
+  in frame i alone would be constant along j and cancel.  The weighted
+  average is computed as an explicit exponential-weight ratio so that zero
+  squeeze logits reduce *exactly* to the temporal mean (the degenerate
+  average-pool case).
 
 * **Intra-modal decoders** -- transformer decoders with a small set of
   learnable queries (content + learned positional part).  Keys are the
@@ -49,12 +49,14 @@ def sinusoidal_positions(length: int, channels: int) -> np.ndarray:
 
 
 class MapSqueeze:
-    """Attention-weighted row average of the embedded map stack."""
+    """Row average of the map stack under ``softmax_j(m_ij @ W_m @ w_mu)``."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         c = cfg.width
+        # advance past the c*c draws an appearance projection once took, so
+        # every later parameter keeps its initial value for a given seed
+        rng.uniform(size=(c, c))
         self.params = {
-            "squeeze/wa": T.uniform_init(rng, (c, c), fan_in=c),
             "squeeze/wm": T.uniform_init(rng, (c, c), fan_in=c),
             "squeeze/wmu": T.uniform_init(rng, (c, 1), fan_in=c),
         }
@@ -64,7 +66,11 @@ class MapSqueeze:
 
     def forward(self, appearance: T.Tensor, maps: T.Tensor,
                 collect: list | None = None) -> T.Tensor:
-        """(B, T, C) appearance + (B, T, T, C) maps -> (B, T, C) sequence."""
+        """(B, T, T, C) maps -> (B, T, C) sequence.
+
+        ``appearance`` (B, T, C) only fixes the expected map shape: a logit
+        term in a_i alone is the same for every j, so the softmax cancels it.
+        """
         if appearance.ndim != 3 or maps.ndim != 4:
             raise DimensionError(
                 f"expected (B,T,C) and (B,T,T,C), got {appearance.shape} "
@@ -74,9 +80,7 @@ class MapSqueeze:
             raise DimensionError(
                 f"map stack {maps.shape} does not match sequence "
                 f"{appearance.shape}")
-        pa = appearance @ self.params["squeeze/wa"]           # (B, T, C)
-        pm = maps @ self.params["squeeze/wm"]                  # (B, T, T, C)
-        mu = ((pa.reshape(b, t, 1, c) + pm)
+        mu = ((maps @ self.params["squeeze/wm"])
               @ self.params["squeeze/wmu"]).reshape(b, t, t)
         # explicit exp-weight ratio; subtracting the (detached) row max is a
         # pure shift, so values and gradients match a plain softmax average

@@ -9,7 +9,7 @@ Layout (all integers little-endian):
         rank u32, extent u64 per axis,
         values float64 little-endian, C order
 
-Checkpoints, optimiser state and debug dumps all use this container; a
+Checkpoints and optimiser state both use this container; a
 round trip is bit-exact because values are stored verbatim.  Writes go
 through a temp file in the target directory followed by an atomic rename,
 so a crash never leaves a half-written file under the final name.

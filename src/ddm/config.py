@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -253,36 +254,45 @@ class RunConfig:
             raise ConfigError(f"eval_stride must be >= 1, got {self.eval_stride}")
 
 
-_SECTIONS = {
-    "gen": GenSpec, "clip": ClipSpec, "model": ModelConfig,
-    "train": TrainConfig, "post": PostConfig, "eval": EvalConfig,
-}
+def _typed(where: str, hint, value):
+    """``value`` checked against the annotation ``hint`` of field ``where``.
 
-
-def _build(cls, payload: dict):
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in payload.items():
-        if key not in names:
-            raise ConfigError(f"unknown {cls.__name__} field {key!r}")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
+    Ints must be ints (not floats, strings or bools), floats take ints too,
+    lists become tuples checked item by item, and ``X | None`` takes null.
+    """
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"section {where!r} must be an object")
+        hints = typing.get_type_hints(hint)
+        extra = sorted(value.keys() - hints.keys())
+        if extra:
+            raise ConfigError(f"unknown {hint.__name__} field {extra[0]!r}")
+        return hint(**{key: _typed(f"{where}.{key}", hints[key], v)
+                       for key, v in value.items()})
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = set(args) - {type(None)}
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_typed(f"{where}[{i}]", item, v)
+                     for i, v in enumerate(value))
+    allowed = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def from_dict(payload: dict) -> RunConfig:
-    kwargs = {}
-    for key, value in payload.items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {key!r} must be an object")
-            kwargs[key] = _build(_SECTIONS[key], value)
-        elif key == "eval_stride":
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown config section {key!r}")
-    cfg = RunConfig(**kwargs)
+    hints = typing.get_type_hints(RunConfig)
+    extra = sorted(payload.keys() - hints.keys())
+    if extra:
+        raise ConfigError(f"unknown config section {extra[0]!r}")
+    cfg = RunConfig(**{key: _typed(key, hints[key], value)
+                       for key, value in payload.items()})
     cfg.validate()
     return cfg
 

@@ -86,18 +86,6 @@ def pairwise_distances(seq, metric: str = "euclidean") -> T.Tensor:
     return fn(seq)
 
 
-def frame_distance(a, b, metric: str = "euclidean") -> T.Tensor:
-    """Distance between two single frame-feature vectors."""
-    a = a if isinstance(a, T.Tensor) else T.Tensor(a)
-    b = b if isinstance(b, T.Tensor) else T.Tensor(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError(
-            f"frame vectors must share one axis, got {a.shape} and {b.shape}")
-    c = a.shape[0]
-    seq = T.concatenate([a.reshape(1, 1, c), b.reshape(1, 1, c)], axis=1)
-    return pairwise_distances(seq, metric)[0, 0, 1]
-
-
 def raw_difference_maps(bank: FeatureBank, metric: str = "euclidean") -> T.Tensor:
     """Stack per-level maps channels-last: (B, T, T, L)."""
     maps = [pairwise_distances(level, metric) for level in bank.levels]

@@ -17,7 +17,10 @@ see clip borders.  :func:`build_feature_bank` is the two halves in a row,
 
 Temporal convolutions are linear (no activation) and use edge replication
 at the clip borders, so a constant sequence stays constant and an identity
-kernel reproduces its input exactly.
+kernel reproduces its input exactly.  A temporal bias adds one vector to
+every frame of its level, so it cancels in the frame differences of the
+euclidean, manhattan and chebyshev maps; the levels feed nothing but the
+maps, so the biases matter only under the cosine metric.
 """
 
 from __future__ import annotations
@@ -61,12 +64,11 @@ def _avg_pool_2x2(x: T.Tensor) -> T.Tensor:
 class FeatureExtractor:
     """Backbone plus temporal pyramid; owns all their parameters."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator,
-                 in_channels: int = 3):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
         self.params: dict[str, T.Tensor] = {}
-        cin = in_channels
+        cin = 3  # RGB frames
         for s, cout in enumerate(cfg.backbone_widths):
             self.params[f"backbone/{s}/w"] = T.uniform_init(
                 rng, (3, 3, cin, cout), fan_in=9 * cin)
@@ -114,7 +116,6 @@ class FeatureBank:
     """
 
     levels: list[T.Tensor]
-    widths: list[int]
     rgb: T.Tensor
 
 
@@ -130,12 +131,10 @@ def temporal_bank(extractor: FeatureExtractor, seqs) -> FeatureBank:
             f"expected {len(cfg.backbone_widths)} stage sequences, got "
             f"{len(seqs)}")
     levels = []
-    widths = []
     for s, seq in enumerate(seqs):
         for d, dilation in enumerate(cfg.dilations):
             out = T.conv1d(seq, extractor.params[f"temporal/{s}/{d}/w"],
                            extractor.params[f"temporal/{s}/{d}/b"],
                            dilation=dilation, pad_mode="edge")
             levels.append(out)
-            widths.append(cfg.backbone_widths[s])
-    return FeatureBank(levels=levels, widths=widths, rgb=seqs[-1])
+    return FeatureBank(levels=levels, rgb=seqs[-1])

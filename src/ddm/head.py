@@ -48,11 +48,7 @@ class FusionHead:
         return pooled @ self.params[f"head/{which}/w"] + self.params[f"head/{which}/b"]
 
     def alpha_value(self) -> float:
-        raw = float(self.params["head/alpha"].data)
-        if raw >= 0.0:
-            return 1.0 / (1.0 + np.exp(-raw))
-        grown = np.exp(raw)
-        return float(grown / (1.0 + grown))
+        return float(T.sigmoid(T.Tensor(self.params["head/alpha"].data)).data)
 
     def fuse(self, l_app: T.Tensor, l_map: T.Tensor) -> T.Tensor:
         """Blend two (B, 2) logit pairs with the learned weight alpha."""

@@ -8,6 +8,8 @@ tautology.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ddm import tensor as T
@@ -165,9 +167,15 @@ def select_peaks_ref(scores, theta: float, window: int) -> list[int]:
 
 
 def max_matching_ref(preds, gts, num_frames: int, threshold: float) -> int:
-    """Maximum one-to-one matching size by exhaustive assignment search."""
+    """Maximum one-to-one matching size by exhaustive assignment search.
+
+    ``best(i, used)`` is the largest matching of predictions i.. onto the
+    truths outside the bitmask ``used``; memoising it visits each of the
+    at most len(preds) * 2**len(gts) states once.
+    """
     edges = [[abs(p - g) / num_frames <= threshold for g in gts] for p in preds]
 
+    @functools.lru_cache(maxsize=None)
     def best(i: int, used: int) -> int:
         if i == len(preds):
             return 0

@@ -182,6 +182,16 @@ def test_bad_config_json_exits_1(tmp_path):
     unknown.write_text(json.dumps({"mystery": {}}))
     assert entry(["gen-data", "--config", str(unknown),
                   "--out", str(tmp_path / "d")]) == 1
+    for payload in ({"model": {"heads": "4"}}, {"gen": {"seed": 1.5}},
+                    {"model": {"backbone_widths": 16}},
+                    {"post": {"theta": "0.5"}}, {"eval_stride": "3"},
+                    {"train": {"batch_size": 2.5}}):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(payload))
+        assert entry(["gen-data", "--config", str(typed),
+                      "--out", str(tmp_path / "d")]) == 1
+        assert entry(["train", "--config", str(typed), "--data",
+                      str(tmp_path / "d"), "--out", str(tmp_path / "r")]) == 1
 
 
 def test_invalid_override_exits_1(pipeline, tmp_path):

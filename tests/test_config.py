@@ -1,6 +1,7 @@
 """Configuration validation, serialisation, presets."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -93,6 +94,38 @@ def test_unknown_section_rejected():
 def test_unknown_field_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         C.loads('{"train": {"momentum": 0.9}}')
+
+
+@pytest.mark.parametrize("payload,where", [
+    ({"model": {"heads": "4"}}, "model.heads"),
+    ({"model": {"heads": True}}, "model.heads"),
+    ({"gen": {"seed": 1.5}}, "gen.seed"),
+    ({"model": {"backbone_widths": 16}}, "model.backbone_widths"),
+    ({"model": {"backbone_widths": [16, 32.0, 64]}}, "model.backbone_widths"),
+    ({"model": {"ffn_hidden": 8.5}}, "model.ffn_hidden"),
+    ({"model": {"metric": 1}}, "model.metric"),
+    ({"post": {"theta": "0.5"}}, "post.theta"),
+    ({"post": {"theta": False}}, "post.theta"),
+    ({"eval": {"thresholds": [0.1, "0.2"]}}, "eval.thresholds"),
+    ({"gen": {"regimes": ["color-shift", 3]}}, "gen.regimes"),
+    ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+    ({"eval_stride": "3"}, "eval_stride"),
+])
+def test_wrong_typed_values_rejected_with_their_field(payload, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        C.from_dict(payload)
+
+
+def test_typed_values_accepted():
+    cfg = C.from_dict({"model": {"ffn_hidden": None},
+                       "train": {"lr": 1, "epochs": 3},
+                       "eval": {"thresholds": [0.25, 1]},
+                       "gen": {"regimes": ["color-shift"]}})
+    assert cfg.model.ffn_hidden is None
+    assert cfg.train.lr == 1 and cfg.train.epochs == 3
+    assert cfg.eval.thresholds == (0.25, 1)
+    assert cfg.gen.regimes == ("color-shift",)
+    assert C.from_dict({"model": {"ffn_hidden": 8}}).model.ffn_width == 8
 
 
 def test_malformed_json_rejected():

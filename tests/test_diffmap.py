@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ddm import tensor as T
 from ddm.config import ModelConfig
-from ddm.diffmap import (DiffMapEmbedding, frame_distance, pairwise_distances,
-                         raw_difference_maps)
+from ddm.diffmap import DiffMapEmbedding, pairwise_distances, raw_difference_maps
 from ddm.errors import ConfigError
 from ddm.feature_bank import FeatureExtractor, build_feature_bank
 
@@ -22,6 +21,11 @@ TINY = ModelConfig(backbone_widths=(4, 6), width=6, dilations=(1, 2),
 def _bank(rng, b=1, t=5):
     fx = FeatureExtractor(TINY, rng)
     return build_feature_bank(fx, rng.random((b, t, 8, 8, 3)))
+
+
+def frame_distance(a, b, metric="euclidean") -> T.Tensor:
+    """Distance between two frame vectors, as a (1, 2, C) sequence's map."""
+    return pairwise_distances([[a, b]], metric)[0, 0, 1]
 
 
 def test_three_four_five_triangle():

@@ -70,9 +70,10 @@ def test_bank_shapes_and_level_order():
     clips = rng.random((2, 5, 8, 8, 3))
     bank = build_feature_bank(fx, clips)
     assert len(bank.levels) == TINY.num_levels == 4
-    assert bank.widths == [4, 4, 6, 6]  # spatial-major ordering
-    for level, width in zip(bank.levels, bank.widths):
-        assert level.shape == (2, 5, width)
+    widths = [level.shape[-1] for level in bank.levels]
+    assert widths == [4, 4, 6, 6]  # spatial-major ordering
+    for level in bank.levels:
+        assert level.shape[:2] == (2, 5)
     assert bank.rgb.shape == (2, 5, 6)
 
 

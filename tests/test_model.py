@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from ddm import tensor as T
-from ddm.config import ModelConfig
+from ddm.config import METRICS, ModelConfig
 from ddm.errors import DataError
 from ddm.model import BoundaryModel
 
@@ -114,20 +114,30 @@ def test_load_state_rejects_wrong_names_and_shapes():
     broken.pop(next(iter(broken)))
     with pytest.raises(DataError, match="missing"):
         model.load_state(broken)
+    extra = dict(state, **{"retired/w": np.zeros(2)})
+    with pytest.raises(DataError, match="unexpected.*retired/w"):
+        model.load_state(extra)
     wrong = dict(state)
     wrong["head/alpha"] = np.zeros(3)
     with pytest.raises(DataError, match="shape"):
         model.load_state(wrong)
 
 
-def test_full_mode_gradients_reach_every_parameter():
+@pytest.mark.parametrize("metric", METRICS)
+def test_full_mode_gradients_reach_every_parameter(metric):
     rng = np.random.default_rng(6)
-    model = BoundaryModel(TINY, seed=7)
+    model = BoundaryModel(replace(TINY, metric=metric), seed=7)
     out = model.forward(_clips(rng))
     T.backward(model.loss(out, np.array([1.0, 0.0])))
     for name, p in model.named_params().items():
         assert p.grad is not None, f"no gradient reached {name}"
         assert np.all(np.isfinite(p.grad)), f"non-finite gradient at {name}"
+        # a temporal bias is shared by every frame, so it cancels in the
+        # differences x_i - x_j that the norm metrics see
+        if name.startswith("temporal/") and name.endswith("/b") \
+                and metric != "cosine":
+            continue
+        assert np.max(np.abs(p.grad)) > 1e-10, f"dead parameter {name}"
 
 
 def test_attention_collection_counts():
