@@ -189,8 +189,7 @@ class QueryDecoder:
             out.update(layer.named_params())
         return out
 
-    def forward(self, seq: T.Tensor, pos_keys: bool = True,
-                collect: list | None = None) -> T.Tensor:
+    def forward(self, seq: T.Tensor, collect: list | None = None) -> T.Tensor:
         """(B, T, C) sequence -> (B, queries, C) refined queries."""
         if seq.ndim != 3 or seq.shape[-1] != self.width:
             raise DimensionError(
@@ -198,7 +197,7 @@ class QueryDecoder:
         b, t, c = seq.shape
         q = (self.params[f"{self.prefix}/content"]
              + self.params[f"{self.prefix}/pos"]).reshape(1, self.queries, c)
-        k = seq + T.Tensor(sinusoidal_positions(t, c)) if pos_keys else seq
+        k = seq + T.Tensor(sinusoidal_positions(t, c))
         for layer in self.layers:
             q = layer.forward(q, k, seq, collect)
         return q

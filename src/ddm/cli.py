@@ -11,28 +11,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
 
 from . import config as configmod
 from .checkpoint import atomic_write_text
-from .config import METRICS, ABLATIONS, RunConfig
-from .errors import ConfigError, DDMError, DataError, NumericError
+from .config import METRICS, ABLATIONS, RunConfig, read_jsonl, write_jsonl
+from .errors import ConfigError, DDMError, DataError
 from .evaluation import VideoOutcome, evaluate, format_csv, format_table
-from .inference import predict_dataset, score_and_predict
+from .inference import Prediction, predict_dataset, score_and_predict
 from .model import BoundaryModel
 from .plot import score_curve_svg
 from .synth import generate_dataset, read_dataset, read_manifest, write_dataset
 from .training import load_checkpoint, train
 
 log = logging.getLogger("ddm.cli")
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +52,29 @@ def configure_logging() -> None:
 # configuration plumbing
 
 
+# override flag -> (the config fields it sets, its argparse options)
+OVERRIDES = {
+    "seed": (("gen.seed", "train.seed"),
+             dict(type=int, help="override every seed field")),
+    "ablate": (("model.ablate",),
+               dict(choices=ABLATIONS, help="architecture variant")),
+    "metric": (("model.metric",),
+               dict(choices=METRICS, help="frame-distance metric")),
+    "stride": (("clip.stride",),
+               dict(type=int, help="frame step between clip samples")),
+    "theta": (("post.theta",),
+              dict(type=float, help="score threshold for kept boundaries")),
+    "window": (("post.window",),
+               dict(type=int, help="local-maximum half width in grid steps")),
+    "matching": (("eval.matching",),
+                 dict(choices=("optimal", "greedy"),
+                      help="how predictions are paired with boundaries")),
+    "aggregation": (("eval.aggregation",),
+                    dict(choices=("global", "per-video"),
+                         help="pool counts or average per-video scores")),
+}
+
+
 def resolve_config(args) -> RunConfig:
     preset = getattr(args, "preset", None)
     path = getattr(args, "config", None)
@@ -70,20 +87,14 @@ def resolve_config(args) -> RunConfig:
     else:
         cfg = RunConfig()
 
-    replace = dataclasses.replace
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, gen=replace(cfg.gen, seed=args.seed),
-                      train=replace(cfg.train, seed=args.seed))
-    if getattr(args, "theta", None) is not None:
-        cfg = replace(cfg, post=replace(cfg.post, theta=args.theta))
-    if getattr(args, "window", None) is not None:
-        cfg = replace(cfg, post=replace(cfg.post, window=args.window))
-    if getattr(args, "stride", None) is not None:
-        cfg = replace(cfg, clip=replace(cfg.clip, stride=args.stride))
-    if getattr(args, "ablate", None) is not None:
-        cfg = replace(cfg, model=replace(cfg.model, ablate=args.ablate))
-    if getattr(args, "metric", None) is not None:
-        cfg = replace(cfg, model=replace(cfg.model, metric=args.metric))
+    for flag, (fields, _) in OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        for name in fields:
+            section, key = name.split(".")
+            part = dataclasses.replace(getattr(cfg, section), **{key: value})
+            cfg = dataclasses.replace(cfg, **{section: part})
     cfg.validate()
     return cfg
 
@@ -94,25 +105,13 @@ def snapshot_config(cfg: RunConfig, out_dir) -> None:
                       configmod.dumps(cfg))
 
 
-def _add_config_flags(sub, overrides=("seed",)):
+def _add_config_flags(sub, *overrides):
     sub.add_argument("--config", metavar="FILE",
                      help="JSON run configuration")
     sub.add_argument("--preset", choices=sorted(configmod.PRESETS),
                      help="named base configuration")
-    if "seed" in overrides:
-        sub.add_argument("--seed", type=int, help="override every seed field")
-    if "model" in overrides:
-        sub.add_argument("--ablate", choices=ABLATIONS,
-                         help="architecture variant")
-        sub.add_argument("--metric", choices=METRICS,
-                         help="frame-distance metric")
-        sub.add_argument("--stride", type=int,
-                         help="frame step between clip samples")
-    if "post" in overrides:
-        sub.add_argument("--theta", type=float,
-                         help="score threshold for kept boundaries")
-        sub.add_argument("--window", type=int,
-                         help="local-maximum half width in grid steps")
+    for flag in overrides:
+        sub.add_argument(f"--{flag}", **OVERRIDES[flag][1])
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def cmd_gen_data(args) -> int:
     snapshot_config(cfg, args.out)
     log.info("generated %d videos into %s", len(records), args.out)
     print(f"wrote {len(records)} videos to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -140,7 +139,7 @@ def cmd_train(args) -> int:
     if last is not None:
         print(f"trained {last[0]} steps; final loss {last[2]:.5f}")
     print(f"checkpoint: {result.final_path}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_infer(args) -> int:
@@ -148,7 +147,6 @@ def cmd_infer(args) -> int:
     videos = read_dataset(args.data, split=args.split)
     model = BoundaryModel(cfg.model, seed=cfg.train.seed)
     load_checkpoint(args.checkpoint, model)
-    os.makedirs(args.out, exist_ok=True)
     snapshot_config(cfg, args.out)
 
     if args.plot:
@@ -169,68 +167,43 @@ def cmd_infer(args) -> int:
         predictions = predict_dataset(model, videos, cfg,
                                       workers=args.workers)
 
-    lines = [json.dumps({"video": p.video_id,
-                         "positions": list(p.positions),
-                         "scores": list(p.scores)})
-             for p in predictions]
     path = os.path.join(os.fspath(args.out), "predictions.jsonl")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_jsonl(path, predictions)
     total = sum(len(p.positions) for p in predictions)
     print(f"wrote {len(predictions)} videos, {total} boundaries to {path}")
-    return EXIT_OK
+    return 0
 
 
 def read_predictions(path) -> dict[str, tuple[int, ...]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except OSError as err:
-        raise DataError(f"cannot read predictions {path}: {err}") from err
+    """Predicted positions per video; a video may appear on one line only."""
     out: dict[str, tuple[int, ...]] = {}
-    for lineno, line in enumerate(raw, 1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            video = entry["video"]
-            positions = tuple(int(p) for p in entry["positions"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-            raise DataError(f"{path}:{lineno}: bad prediction line: {err}") \
-                from err
-        if video in out:
-            raise DataError(f"{path}:{lineno}: duplicate video {video!r}")
-        out[video] = positions
+    for lineno, pred in read_jsonl(path, Prediction):
+        if pred.video in out:
+            raise DataError(f"{path}:{lineno}: duplicate video {pred.video!r}")
+        out[pred.video] = pred.positions
     return out
 
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
-    replace = dataclasses.replace
-    if args.matching is not None:
-        cfg = replace(cfg, eval=replace(cfg.eval, matching=args.matching))
-    if args.aggregation is not None:
-        cfg = replace(cfg, eval=replace(cfg.eval,
-                                        aggregation=args.aggregation))
     entries = read_manifest(args.data, split=args.split)
     predicted = read_predictions(args.predictions)
 
-    known = {entry["id"] for entry in entries}
-    unknown = sorted(set(predicted) - known)
+    unknown = sorted(set(predicted) - {entry.id for entry in entries})
     if unknown:
         raise DataError(
             f"{args.predictions}: predictions for unknown videos {unknown}")
     for entry in entries:
-        n = entry["num_frames"]
-        for p in predicted.get(entry["id"], ()):
-            if not 0 <= p < n:
+        for p in predicted.get(entry.id, ()):
+            if not 0 <= p < entry.num_frames:
                 raise DataError(
-                    f"{args.predictions}: video {entry['id']!r} has position "
-                    f"{p} outside [0, {n})")
+                    f"{args.predictions}: video {entry.id!r} has position "
+                    f"{p} outside [0, {entry.num_frames})")
 
     outcomes = [
-        VideoOutcome(video_id=entry["id"], num_frames=entry["num_frames"],
-                     predictions=predicted.get(entry["id"], ()),
-                     boundaries=entry["boundaries"])
+        VideoOutcome(video_id=entry.id, num_frames=entry.num_frames,
+                     predictions=predicted.get(entry.id, ()),
+                     boundaries=entry.boundaries)
         for entry in entries]
     report = evaluate(outcomes, cfg.eval)
     sys.stdout.write(format_table(report))
@@ -238,7 +211,7 @@ def cmd_eval(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         atomic_write_text(os.path.join(os.fspath(args.out), "report.csv"),
                           format_csv(report))
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +224,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="render a synthetic dataset")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="fit a model on the train split")
-    _add_config_flags(p, overrides=("seed", "model"))
+    _add_config_flags(p, "seed", "ablate", "metric", "stride")
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--resume", metavar="CHECKPOINT")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="score a split with a checkpoint")
-    _add_config_flags(p, overrides=("seed", "model", "post"))
+    _add_config_flags(p, "seed", "ablate", "metric", "stride", "theta",
+                      "window")
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="DIR")
@@ -275,14 +249,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
-    _add_config_flags(p, overrides=())
+    _add_config_flags(p, "matching", "aggregation")
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--predictions", required=True, metavar="FILE")
     p.add_argument("--out", metavar="DIR",
                    help="also write report.csv here")
     p.add_argument("--split", default="val")
-    p.add_argument("--matching", choices=("optimal", "greedy"))
-    p.add_argument("--aggregation", choices=("global", "per-video"))
     p.set_defaults(func=cmd_eval)
     return parser
 
@@ -292,21 +264,12 @@ def entry(argv=None) -> int:
         configure_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as err:
+    except DDMError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DDMError as err:  # contract and dimension problems
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return err.exit_code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -6,17 +6,20 @@ run can snapshot the exact configuration it executed with.  Two presets are
 provided: ``desk`` (small widths, large learning rate -- minutes on a CPU)
 and ``paper`` (full-scale hyperparameters: window 5, clip stride 6, three
 spatial and three temporal levels, five queries, six-layer decoders,
-learning rate 1e-5).
+learning rate 1e-5).  :func:`typed` decodes every JSON value the package
+reads: configs, and the dataclass records of JSON-lines files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import typing
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .checkpoint import atomic_write_text
+from .errors import ConfigError, DataError
 
 METRICS = ("euclidean", "manhattan", "chebyshev", "cosine")
 ABLATIONS = ("none", "rgb-only", "ddm-only", "avg-pool", "intra-only",
@@ -254,20 +257,31 @@ class RunConfig:
             raise ConfigError(f"eval_stride must be >= 1, got {self.eval_stride}")
 
 
-def _typed(where: str, hint, value):
+# resolving a class's annotations costs ~100 µs, so each is resolved once;
+# every caller shares the returned dict and must not change it
+_hints = functools.cache(typing.get_type_hints)
+
+
+def typed(where: str, hint, value, error=ConfigError):
     """``value`` checked against the annotation ``hint`` of field ``where``.
 
-    Ints must be ints (not floats, strings or bools), floats take ints too,
-    lists become tuples checked item by item, and ``X | None`` takes null.
+    A dataclass takes an object holding every field that has no default and
+    no other key.  Ints must be ints (not floats, strings or bools), floats
+    take ints too, lists become tuples checked item by item, and ``X | None``
+    takes null.  A mismatch raises ``error`` naming the field's path.
     """
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
-            raise ConfigError(f"section {where!r} must be an object")
-        hints = typing.get_type_hints(hint)
+            raise error(f"{where} must be an object, got {value!r}")
+        hints = _hints(hint)
         extra = sorted(value.keys() - hints.keys())
         if extra:
-            raise ConfigError(f"unknown {hint.__name__} field {extra[0]!r}")
-        return hint(**{key: _typed(f"{where}.{key}", hints[key], v)
+            raise error(f"{where}.{extra[0]}: unknown {hint.__name__} field")
+        for f in dataclasses.fields(hint):
+            if f.name not in value and f.default is dataclasses.MISSING \
+                    and f.default_factory is dataclasses.MISSING:
+                raise error(f"{where}.{f.name} is missing")
+        return hint(**{key: typed(f"{where}.{key}", hints[key], v, error)
                        for key, v in value.items()})
     args = typing.get_args(hint)
     if type(None) in args:
@@ -276,22 +290,22 @@ def _typed(where: str, hint, value):
         (hint,) = set(args) - {type(None)}
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
+            raise error(f"{where} must be a list, got {value!r}")
         item = typing.get_args(hint)[0]
-        return tuple(_typed(f"{where}[{i}]", item, v)
+        return tuple(typed(f"{where}[{i}]", item, v, error)
                      for i, v in enumerate(value))
     allowed = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+        raise error(f"{where} must be {hint.__name__}, got {value!r}")
     return value
 
 
 def from_dict(payload: dict) -> RunConfig:
-    hints = typing.get_type_hints(RunConfig)
+    hints = _hints(RunConfig)
     extra = sorted(payload.keys() - hints.keys())
     if extra:
         raise ConfigError(f"unknown config section {extra[0]!r}")
-    cfg = RunConfig(**{key: _typed(key, hints[key], value)
+    cfg = RunConfig(**{key: typed(key, hints[key], value)
                        for key, value in payload.items()})
     cfg.validate()
     return cfg
@@ -321,6 +335,33 @@ def load_file(path) -> RunConfig:
             return loads(fh.read())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+
+
+def write_jsonl(path, records) -> None:
+    """One JSON object per dataclass record, its fields as keys in order."""
+    atomic_write_text(path, "".join(json.dumps(dataclasses.asdict(r)) + "\n"
+                                    for r in records))
+
+
+def read_jsonl(path, cls) -> list[tuple[int, object]]:
+    """(line number, ``cls`` record) for each non-blank line of ``path``;
+    a malformed line raises a ``DataError`` naming ``path:line.field``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err}") from err
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DataError(f"{path}:{lineno}: bad JSON: {err}") from err
+        records.append((lineno, typed(f"{path}:{lineno}", cls, value,
+                                      DataError)))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -89,11 +89,14 @@ def select_peaks(scores: np.ndarray, cfg: PostConfig) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prediction:
-    video_id: str
+    """One ``predictions.jsonl`` line; its fields are the line's keys.
+    Files written by other detectors may leave ``scores`` out."""
+
+    video: str
     positions: tuple[int, ...]  # frame positions of kept peaks
-    scores: tuple[float, ...]  # fused probabilities at those positions
+    scores: tuple[float, ...] = ()  # fused probabilities at those positions
 
 
 def predict_video(model: BoundaryModel, video: VideoRecord,
@@ -108,7 +111,7 @@ def score_and_predict(model: BoundaryModel, video: VideoRecord,
     the score curve it was selected from; ``kept`` indexes ``scores``."""
     positions, scores = score_video(model, video, cfg)
     kept = select_peaks(scores, cfg.post)
-    prediction = Prediction(video_id=video.video_id,
+    prediction = Prediction(video=video.video_id,
                             positions=tuple(int(positions[i]) for i in kept),
                             scores=tuple(float(scores[i]) for i in kept))
     return prediction, positions, scores, kept

@@ -14,7 +14,8 @@ file per video:
 
     frames file: magic "DDMF", version u32, then E, H, W, C as u32,
                  then float32 little-endian values, frame-major
-    manifest line: {"id", "num_frames", "frames_file", "boundaries", "split"}
+    manifest line: one ``ManifestEntry`` as a JSON object, its fields as
+                   keys, every value strictly typed (see ``config.typed``)
 
 Generation is deterministic: every video derives its own random stream from
 ``(seed, GEN, key(video_id))``, so worker counts and generation order can
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -33,8 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import rng as rngmod
-from .checkpoint import atomic_write_bytes, atomic_write_text
-from .config import GenSpec
+from .checkpoint import atomic_write_bytes
+from .config import GenSpec, read_jsonl, write_jsonl
 from .errors import ConfigError, ContractError, DataError
 
 FRAMES_MAGIC = b"DDMF"
@@ -56,6 +56,17 @@ class VideoRecord:
     @property
     def num_frames(self) -> int:
         return int(self.frames.shape[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class ManifestEntry:
+    """One ``manifest.jsonl`` line; its fields are the line's keys."""
+
+    id: str
+    num_frames: int
+    frames_file: str  # relative to the dataset directory
+    boundaries: tuple[int, ...]
+    split: str
 
 
 # ---------------------------------------------------------------------------
@@ -229,69 +240,41 @@ def read_frames(path) -> np.ndarray:
 
 def write_dataset(records: list[VideoRecord], out_dir) -> str:
     out_dir = os.fspath(out_dir)
-    frames_dir = os.path.join(out_dir, "frames")
-    os.makedirs(frames_dir, exist_ok=True)
-    lines = []
+    os.makedirs(os.path.join(out_dir, "frames"), exist_ok=True)
+    entries = []
     for rec in records:
-        rel = f"frames/{rec.video_id}.ddmf"
-        write_frames(os.path.join(out_dir, rel), rec.frames)
-        lines.append(json.dumps({
-            "id": rec.video_id,
-            "num_frames": rec.num_frames,
-            "frames_file": rel,
-            "boundaries": list(rec.boundaries),
-            "split": rec.split,
-        }))
+        entry = ManifestEntry(id=rec.video_id, num_frames=rec.num_frames,
+                              frames_file=f"frames/{rec.video_id}.ddmf",
+                              boundaries=rec.boundaries, split=rec.split)
+        write_frames(os.path.join(out_dir, entry.frames_file), rec.frames)
+        entries.append(entry)
     manifest = os.path.join(out_dir, "manifest.jsonl")
-    atomic_write_text(manifest, "".join(line + "\n" for line in lines))
+    write_jsonl(manifest, entries)
     return manifest
 
 
-def read_manifest(data_dir, split: str | None = None) -> list[dict]:
+def read_manifest(data_dir, split: str | None = None) -> list[ManifestEntry]:
     """Validated manifest entries, without touching the frame files.
 
-    Each entry has keys id, num_frames, frames_file, boundaries (tuple of
-    ints) and split.  Duplicate ids anywhere in the manifest are rejected
-    even when a split filter would drop them.
+    Duplicate ids anywhere in the manifest are rejected even when a split
+    filter would drop them.
     """
-    data_dir = os.fspath(data_dir)
-    manifest = os.path.join(data_dir, "manifest.jsonl")
-    try:
-        with open(manifest, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as err:
-        raise DataError(f"cannot read manifest {manifest}: {err}") from err
+    manifest = os.path.join(os.fspath(data_dir), "manifest.jsonl")
     entries = []
     seen = set()
-    for lineno, line in enumerate(raw_lines, 1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise DataError(f"{manifest}:{lineno}: bad JSON: {err}") from err
-        try:
-            vid = entry["id"]
-            num_frames = entry["num_frames"]
-            rel = entry["frames_file"]
-            boundaries = entry["boundaries"]
-            vsplit = entry["split"]
-        except KeyError as err:
-            raise DataError(f"{manifest}:{lineno}: missing key {err}") from err
-        if vid in seen:
-            raise DataError(f"{manifest}:{lineno}: duplicate video id {vid!r}")
-        seen.add(vid)
-        bt = tuple(int(b) for b in boundaries)
+    for lineno, entry in read_jsonl(manifest, ManifestEntry):
+        if entry.id in seen:
+            raise DataError(
+                f"{manifest}:{lineno}: duplicate video id {entry.id!r}")
+        seen.add(entry.id)
+        bt = entry.boundaries
         if list(bt) != sorted(set(bt)) or any(
-                not 0 < b < num_frames for b in bt):
+                not 0 < b < entry.num_frames for b in bt):
             raise DataError(
                 f"{manifest}:{lineno}: boundaries must be strictly increasing "
-                f"and inside (0, {num_frames}), got {boundaries}")
-        if split is not None and vsplit != split:
-            continue
-        entries.append({"id": vid, "num_frames": int(num_frames),
-                        "frames_file": rel, "boundaries": bt,
-                        "split": vsplit})
+                f"and inside (0, {entry.num_frames}), got {list(bt)}")
+        if split is None or entry.split == split:
+            entries.append(entry)
     if split is not None and not entries:
         raise DataError(f"{manifest}: no videos with split {split!r}")
     return entries
@@ -301,13 +284,12 @@ def read_dataset(data_dir, split: str | None = None) -> list[VideoRecord]:
     data_dir = os.fspath(data_dir)
     records = []
     for entry in read_manifest(data_dir, split):
-        frames = read_frames(os.path.join(data_dir, entry["frames_file"]))
-        if frames.shape[0] != entry["num_frames"]:
+        frames = read_frames(os.path.join(data_dir, entry.frames_file))
+        if frames.shape[0] != entry.num_frames:
             raise DataError(
-                f"{data_dir}: manifest says {entry['num_frames']} frames for "
-                f"{entry['id']} but {entry['frames_file']} holds "
-                f"{frames.shape[0]}")
-        records.append(VideoRecord(video_id=entry["id"], frames=frames,
-                                   boundaries=entry["boundaries"],
-                                   split=entry["split"]))
+                f"{data_dir}: manifest says {entry.num_frames} frames for "
+                f"{entry.id} but {entry.frames_file} holds {frames.shape[0]}")
+        records.append(VideoRecord(video_id=entry.id, frames=frames,
+                                   boundaries=entry.boundaries,
+                                   split=entry.split))
     return records

@@ -203,12 +203,15 @@ def test_query_decoder_output_shape_and_collect_count():
 
 
 def test_query_decoder_time_permutation_invariance_without_positions():
+    # a decoder layer attends over keys that carry no positions, so
+    # reordering the frames leaves its output unchanged
     rng = np.random.default_rng(11)
-    dec = QueryDecoder("qa", CFG, rng, layers=2)
+    layer = DecoderLayer("qa", CFG, rng)
+    q = T.Tensor(rng.standard_normal((1, CFG.queries, 6)))
     seq = rng.standard_normal((1, 8, 6))
     perm = rng.permutation(8)
-    a = dec.forward(T.Tensor(seq), pos_keys=False).data
-    b = dec.forward(T.Tensor(seq[:, perm]), pos_keys=False).data
+    a = layer.forward(q, T.Tensor(seq), T.Tensor(seq)).data
+    b = layer.forward(q, T.Tensor(seq[:, perm]), T.Tensor(seq[:, perm])).data
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
@@ -217,8 +220,8 @@ def test_query_decoder_positions_break_permutation_invariance():
     dec = QueryDecoder("qa", CFG, rng, layers=1)
     seq = rng.standard_normal((1, 8, 6))
     perm = np.roll(np.arange(8), 1)
-    a = dec.forward(T.Tensor(seq), pos_keys=True).data
-    b = dec.forward(T.Tensor(seq[:, perm]), pos_keys=True).data
+    a = dec.forward(T.Tensor(seq)).data
+    b = dec.forward(T.Tensor(seq[:, perm])).data
     assert np.max(np.abs(a - b)) > 1e-6
 
 

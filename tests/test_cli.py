@@ -2,15 +2,23 @@
 
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ddm import config as configmod
 from ddm.cli import entry, read_predictions
-from ddm.errors import ContractError
+from ddm.config import read_jsonl
+from ddm.errors import (ConfigError, ContractError, DataError, DDMError,
+                        DimensionError, NumericError)
+from ddm.inference import Prediction, predict_dataset
+from ddm.model import BoundaryModel
 from ddm.plot import score_curve_svg
 from ddm.synth import read_dataset
+from ddm.training import load_checkpoint
+from test_synth import DROP, MANIFEST_CASES
 
 TINY = {
     "gen": {"train_videos": 3, "val_videos": 2, "min_frames": 18,
@@ -159,6 +167,14 @@ def test_seed_override_changes_data(pipeline, tmp_path):
 # failure modes and exit codes
 
 
+def test_each_error_class_carries_its_exit_code():
+    codes = {cls: cls.exit_code for cls in (DDMError, ConfigError, DataError,
+                                            DimensionError, NumericError,
+                                            ContractError)}
+    assert codes == {DDMError: 1, ConfigError: 1, DataError: 2,
+                     DimensionError: 1, NumericError: 3, ContractError: 1}
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert entry([]) == 1  # no subcommand
     assert entry(["frobnicate"]) == 1
@@ -245,6 +261,84 @@ def test_out_of_range_predictions_exit_2(pipeline, tmp_path, capsys,
     assert f"position {bad} outside" in err
 
 
+def prediction_line(**changes) -> str:
+    """A valid prediction line with ``changes`` applied (``DROP`` removes)."""
+    pred = {"video": "val-0000", "positions": [5], "scores": [0.9], **changes}
+    return json.dumps({k: v for k, v in pred.items() if v is not DROP})
+
+
+# (bad prediction line, what its error names after "<file>:<line>")
+PREDICTION_CASES = [
+    pytest.param(prediction_line(positions=[3.7, "5", True]),
+                 ".positions[0]", id="position-float"),
+    pytest.param(prediction_line(positions=[5, "9"]), ".positions[1]",
+                 id="position-string"),
+    pytest.param(prediction_line(positions=[5, True]), ".positions[1]",
+                 id="position-bool"),
+    pytest.param(prediction_line(positions="12"), ".positions",
+                 id="positions-string"),
+    pytest.param(prediction_line(positions=None), ".positions",
+                 id="positions-null"),
+    pytest.param(prediction_line(video=7), ".video", id="video-int"),
+    pytest.param(prediction_line(scores=["0.9"]), ".scores[0]",
+                 id="score-string"),
+    pytest.param(prediction_line(label="cut"), ".label", id="unknown-key"),
+    pytest.param(prediction_line(positions=DROP), ".positions",
+                 id="missing-key"),
+    pytest.param("[1, 2]", " must be an object", id="line-not-object"),
+]
+
+
+@pytest.mark.parametrize("line, named", PREDICTION_CASES)
+def test_read_predictions_rejects_mistyped_lines(tmp_path, line, named):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(prediction_line(video="val-0001") + "\n" + line + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{preds}:2{named}")):
+        read_predictions(preds)
+
+
+def _eval_fails_with_one_error_line(capsys, data, preds, where):
+    assert entry(["eval", "--data", str(data),
+                  "--predictions", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("line, named", PREDICTION_CASES)
+def test_eval_mistyped_predictions_exit_2(pipeline, tmp_path, capsys,
+                                          line, named):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(line + "\n")
+    _eval_fails_with_one_error_line(capsys, pipeline.data, preds,
+                                    f"{preds}:1{named}")
+
+
+@pytest.mark.parametrize("line, named", MANIFEST_CASES)
+def test_eval_mistyped_manifest_exit_2(pipeline, tmp_path, capsys,
+                                       line, named):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(
+        line + "\n" + (pipeline.data / "manifest.jsonl").read_text())
+    _eval_fails_with_one_error_line(
+        capsys, tmp_path, pipeline.pred / "predictions.jsonl",
+        f"{manifest}:1{named}")
+
+
+def test_predictions_without_scores_evaluate(pipeline, tmp_path, capsys):
+    preds = pipeline.pred / "predictions.jsonl"
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(
+        json.dumps({"video": p.video, "positions": list(p.positions)}) + "\n"
+        for _, p in read_jsonl(preds, Prediction)))
+    tables = []
+    for path in (preds, bare):
+        assert entry(["eval", "--data", str(pipeline.data),
+                      "--predictions", str(path)]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_diverging_training_exits_3(pipeline, tmp_path):
     wild = dict(TINY, train=dict(TINY["train"], lr=1e150))
@@ -277,10 +371,18 @@ def test_help_exits_zero():
 
 
 def test_read_predictions_round_trip(pipeline):
-    parsed = read_predictions(pipeline.pred / "predictions.jsonl")
+    path = pipeline.pred / "predictions.jsonl"
+    parsed = read_predictions(path)
     assert set(parsed) == {"val-0000", "val-0001"}
     for positions in parsed.values():
         assert all(isinstance(p, int) for p in positions)
+    # what infer wrote decodes to the very predictions it made
+    cfg = configmod.from_dict(TINY)
+    model = BoundaryModel(cfg.model, seed=cfg.train.seed)
+    load_checkpoint(pipeline.run / "final.ddmn", model)
+    made = predict_dataset(model, read_dataset(pipeline.data, "val"), cfg)
+    assert [p for _, p in read_jsonl(path, Prediction)] == made
+    assert parsed == {p.video: p.positions for p in made}
 
 
 def test_svg_is_deterministic_and_validated():

@@ -137,7 +137,7 @@ def test_predict_video_consistent_with_parts(tiny_model, tiny_video):
     pred = predict_video(tiny_model, tiny_video, TINY)
     positions, scores = score_video(tiny_model, tiny_video, TINY)
     kept = select_peaks(scores, TINY.post)
-    assert pred.video_id == tiny_video.video_id
+    assert pred.video == tiny_video.video_id
     assert pred.positions == tuple(int(positions[i]) for i in kept)
     assert pred.scores == tuple(float(scores[i]) for i in kept)
 
@@ -147,7 +147,7 @@ def test_predict_dataset_worker_invariance(tiny_model):
               for i in range(3)]
     serial = predict_dataset(tiny_model, videos, TINY, workers=1)
     threaded = predict_dataset(tiny_model, videos, TINY, workers=3)
-    assert [p.video_id for p in serial] == [v.video_id for v in videos]
+    assert [p.video for p in serial] == [v.video_id for v in videos]
     assert serial == threaded  # dataclass equality covers scores bitwise
 
 

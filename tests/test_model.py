@@ -133,7 +133,10 @@ def test_full_mode_gradients_reach_every_parameter(metric):
         assert p.grad is not None, f"no gradient reached {name}"
         assert np.all(np.isfinite(p.grad)), f"non-finite gradient at {name}"
         # a temporal bias is shared by every frame, so it cancels in the
-        # differences x_i - x_j that the norm metrics see
+        # differences x_i - x_j that the norm metrics see.  The biases stay:
+        # deleting them (init stream unchanged) left criteria 5 and 6 as
+        # they were but moved criterion 7's cosine F1@avg from 0.969 to
+        # 0.897 (spread 0.103 against its 0.05 bar); see ROADMAP "Parked"
         if name.startswith("temporal/") and name.endswith("/b") \
                 and metric != "cosine":
             continue

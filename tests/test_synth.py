@@ -1,5 +1,8 @@
 """Synthetic corpus: determinism, boundary structure, recoverability, IO."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -161,3 +164,64 @@ def test_frames_file_round_trip(tmp_path):
     again = synth.read_frames(path)
     assert again.tobytes() == frames.tobytes()
     assert again.shape == frames.shape
+
+
+# ---------------------------------------------------------------------------
+# the manifest is decoded strictly: every line is one ManifestEntry
+
+DROP = object()
+
+
+def manifest_line(**changes) -> str:
+    """A valid manifest line with ``changes`` applied (``DROP`` removes)."""
+    entry = {"id": "val-0009", "num_frames": 19,
+             "frames_file": "frames/val-0009.ddmf", "boundaries": [5, 12],
+             "split": "val", **changes}
+    return json.dumps({k: v for k, v in entry.items() if v is not DROP})
+
+
+# (bad manifest line, what its error names after "manifest.jsonl:<line>")
+MANIFEST_CASES = [
+    pytest.param(manifest_line(boundaries="12"), ".boundaries",
+                 id="boundaries-string"),
+    pytest.param(manifest_line(boundaries=[10.9]), ".boundaries[0]",
+                 id="boundary-float"),
+    pytest.param(manifest_line(boundaries=[5, "12"]), ".boundaries[1]",
+                 id="boundary-string"),
+    pytest.param(manifest_line(boundaries=[5, True]), ".boundaries[1]",
+                 id="boundary-bool"),
+    pytest.param(manifest_line(num_frames=19.0), ".num_frames",
+                 id="num-frames-float"),
+    pytest.param(manifest_line(num_frames="19"), ".num_frames",
+                 id="num-frames-string"),
+    pytest.param(manifest_line(id=9), ".id", id="id-int"),
+    pytest.param(manifest_line(fps=25), ".fps", id="unknown-key"),
+    pytest.param(manifest_line(split=DROP), ".split", id="missing-key"),
+    pytest.param("[1, 2]", " must be an object", id="line-not-object"),
+]
+
+
+@pytest.mark.parametrize("line, named", MANIFEST_CASES)
+def test_read_manifest_rejects_mistyped_lines(tmp_path, line, named):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(manifest_line(id="val-0000") + "\n" + line + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{manifest}:2{named}")):
+        synth.read_manifest(tmp_path)
+
+
+def test_read_manifest_decodes_a_valid_line(tmp_path):
+    (tmp_path / "manifest.jsonl").write_text(manifest_line() + "\n\n")
+    assert synth.read_manifest(tmp_path) == [synth.ManifestEntry(
+        id="val-0009", num_frames=19, frames_file="frames/val-0009.ddmf",
+        boundaries=(5, 12), split="val")]
+
+
+def test_manifest_round_trip(tmp_path):
+    records = synth.generate_dataset(COLOR_ONLY)
+    synth.write_dataset(records, tmp_path)
+    entries = synth.read_manifest(tmp_path)
+    assert [(e.id, e.num_frames, e.boundaries, e.split) for e in entries] == \
+        [(r.video_id, r.num_frames, r.boundaries, r.split) for r in records]
+    assert all(type(b) is int for e in entries for b in e.boundaries)
+    assert [e.frames_file for e in entries] == \
+        [f"frames/{r.video_id}.ddmf" for r in records]
