@@ -57,7 +57,8 @@ def _avg_pool_2x2(x: T.Tensor) -> T.Tensor:
     if h2 < 1 or w2 < 1:
         raise DimensionError(
             f"cannot 2x2-pool spatial extent {h}x{w}; input frames too small")
-    x = x[:, :2 * h2, :2 * w2, :]
+    if (h, w) != (2 * h2, 2 * w2):
+        x = x[:, :2 * h2, :2 * w2, :]  # drop the odd last row / column
     return x.reshape(n, h2, 2, w2, 2, c).mean(axis=(2, 4))
 
 

@@ -267,6 +267,10 @@ def read_manifest(data_dir, split: str | None = None) -> list[ManifestEntry]:
             raise DataError(
                 f"{manifest}:{lineno}: duplicate video id {entry.id!r}")
         seen.add(entry.id)
+        if entry.num_frames < 1:
+            raise DataError(
+                f"{manifest}:{lineno}: num_frames must be >= 1, got "
+                f"{entry.num_frames}")
         bt = entry.boundaries
         if list(bt) != sorted(set(bt)) or any(
                 not 0 < b < entry.num_frames for b in bt):

@@ -162,7 +162,7 @@ class _Node:
 _state = threading.local()
 
 
-def _nodes() -> list[_Node]:
+def _nodes() -> list[_Node | None]:
     nodes = getattr(_state, "nodes", None)
     if nodes is None:
         nodes = []
@@ -197,9 +197,11 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 def backward(root: Tensor) -> None:
     """Backpropagate from a scalar root; consumes the active tape.
 
-    Leaf gradients accumulate into ``.grad`` (summed if already set).  After
-    the call the tape is empty, so a second ``backward`` on the same graph
-    raises a contract error.
+    Leaf gradients accumulate into ``.grad`` (summed if already set).  Each
+    record leaves the tape just before its backward runs (its parents sit at
+    lower slots), so its saved arrays are freed once that backward returns.
+    After the call the tape is empty, so a second ``backward`` on the same
+    graph raises a contract error.
     """
     if root.data.size != 1:
         raise ContractError(
@@ -210,10 +212,12 @@ def backward(root: Tensor) -> None:
     grads: dict[int, np.ndarray] = {root.node_id: np.ones_like(root.data)}
     try:
         for idx in range(root.node_id, -1, -1):
+            node = nodes[idx]
+            nodes[idx] = None
+            node.out.node_id = None
             gout = grads.pop(idx, None)
             if gout is None:
                 continue
-            node = nodes[idx]
             parent_grads = node.backward_fn(gout)
             for parent, g in zip(node.parents, parent_grads):
                 if g is None or not parent.requires_grad:
@@ -227,7 +231,8 @@ def backward(root: Tensor) -> None:
                     parent.grad = parent.grad + g
     finally:
         for node in nodes:
-            node.out.node_id = None
+            if node is not None:
+                node.out.node_id = None
         nodes.clear()
 
 
@@ -607,7 +612,29 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # convolution (stride 1, same padding, odd kernels): one shift-and-matmul
-# kernel in conv2d; conv1d is a 1 x K conv2d over a height-1 image
+# kernel in conv2d; conv1d is a 1 x K conv2d over a height-1 image.
+#
+# conv2d does one matmul per kernel tap over chunks of whole frames (about
+# _CHUNK_ROWS output rows), so shifted copies and products stay cache-sized.
+# Padding is per frame, so a cell of the output or of the input gradient
+# sums only its own frame's taps, in the same order at any chunking, and
+# OpenBLAS gives each row of a product of 7 or more rows the same bits as
+# in the whole product (checked on every desk and paper backbone shape):
+# chunked results are bitwise the unchunked ones.  The weight gradient sums
+# over every row, so it stays one matmul per tap.  The input gradient is
+# skipped when the input did not require grad at forward time (the
+# backbone's pixels), as PyTorch does via ``needs_input_grad``.
+
+_CHUNK_ROWS = 4096
+
+
+def _frame_chunks(frames: int, rows_per_frame: int) -> list[tuple[int, int]]:
+    """Near-equal ``(start, stop)`` frame runs of about _CHUNK_ROWS rows;
+    an even split leaves no short tail (BLAS computes a 1-row product apart).
+    """
+    count = min(frames, -(-frames * rows_per_frame // _CHUNK_ROWS))
+    return [(k * frames // count, (k + 1) * frames // count)
+            for k in range(count)]
 
 
 def conv1d(x, w, b=None, dilation: int = 1, pad_mode: str = "zero") -> Tensor:
@@ -654,6 +681,9 @@ def conv2d(x, w, b=None, dilation: int = 1, pad_mode: str = "zero") -> Tensor:
         raise ContractError(f"conv2d dilation must be >= 1, got {dilation}")
     if pad_mode not in ("zero", "edge"):
         raise ContractError(f"unknown pad_mode {pad_mode!r}")
+    if b is not None and b.shape != (cout,):
+        raise DimensionError(
+            f"conv2d bias must have shape ({cout},), got {b.shape}")
     n, h, wdt, _ = x.shape
     if h < 1 or wdt < 1:
         raise DimensionError(f"conv2d input has empty spatial extent: {x.shape}")
@@ -661,43 +691,52 @@ def conv2d(x, w, b=None, dilation: int = 1, pad_mode: str = "zero") -> Tensor:
     pw = (kw - 1) * dilation // 2
     mode = "constant" if pad_mode == "zero" else "edge"
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)), mode=mode)
-    acc = np.zeros((n * h * wdt, cout))
-    for i in range(kh):
-        for j in range(kw):
-            s = xp[:, i * dilation:i * dilation + h,
-                   j * dilation:j * dilation + wdt, :]
-            acc += s.reshape(-1, cin) @ w.data[i, j]
-    y = acc.reshape(n, h, wdt, cout)
-    if b is not None:
-        if b.shape != (cout,):
-            raise DimensionError(
-                f"conv2d bias must have shape ({cout},), got {b.shape}")
-        y = y + b.data
-    out = Tensor(y)
     wd = w.data
+    rows = h * wdt
+    chunks = _frame_chunks(n, rows)
+
+    def tap(arr, i, j, lo=0, hi=n):
+        """The input window kernel tap (i, j) reads, for frames lo..hi."""
+        return arr[lo:hi, i * dilation:i * dilation + h,
+                   j * dilation:j * dilation + wdt, :]
+
+    y = np.zeros((n * rows, cout))
+    for lo, hi in chunks:
+        acc = y[lo * rows:hi * rows]
+        for i in range(kh):
+            for j in range(kw):
+                acc += tap(xp, i, j, lo, hi).reshape(-1, cin) @ wd[i, j]
+    y = y.reshape(n, h, wdt, cout)
+    if b is not None:
+        y += b.data
+    out = Tensor(y)
     parents = (x, w) if b is None else (x, w, b)
+    need_gx = x.requires_grad
 
     def bw(g):
         g2 = g.reshape(-1, cout)
         gw = np.empty_like(wd)
-        gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                s = xp[:, i * dilation:i * dilation + h,
-                       j * dilation:j * dilation + wdt, :]
-                gw[i, j] = s.reshape(-1, cin).T @ g2
-                gxp[:, i * dilation:i * dilation + h,
-                    j * dilation:j * dilation + wdt, :] += \
-                    (g2 @ wd[i, j].T).reshape(n, h, wdt, cin)
-        if pad_mode == "edge" and ph:
-            gxp[:, ph] += gxp[:, :ph].sum(axis=1)
-            gxp[:, ph + h - 1] += gxp[:, ph + h:].sum(axis=1)
-        if pad_mode == "edge" and pw:
-            gxp[:, :, pw] += gxp[:, :, :pw].sum(axis=2)
-            gxp[:, :, pw + wdt - 1] += gxp[:, :, pw + wdt:].sum(axis=2)
-        gx = gxp[:, ph:ph + h, pw:pw + wdt]
-        if ph or pw:
-            gx = gx.copy()
+                gw[i, j] = tap(xp, i, j).reshape(-1, cin).T @ g2
+        gx = None
+        if need_gx:
+            gxp = np.zeros_like(xp)
+            for lo, hi in chunks:
+                gc = g2[lo * rows:hi * rows]
+                for i in range(kh):
+                    for j in range(kw):
+                        window = tap(gxp, i, j, lo, hi)
+                        window += (gc @ wd[i, j].T).reshape(window.shape)
+            if pad_mode == "edge" and ph:
+                gxp[:, ph] += gxp[:, :ph].sum(axis=1)
+                gxp[:, ph + h - 1] += gxp[:, ph + h:].sum(axis=1)
+            if pad_mode == "edge" and pw:
+                gxp[:, :, pw] += gxp[:, :, :pw].sum(axis=2)
+                gxp[:, :, pw + wdt - 1] += gxp[:, :, pw + wdt:].sum(axis=2)
+            gx = gxp[:, ph:ph + h, pw:pw + wdt]
+            if ph or pw:
+                gx = gx.copy()
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 1, 2))

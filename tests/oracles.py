@@ -112,6 +112,36 @@ def mha_ref(q, k, v, wq, wk, wv, wo, heads: int) -> np.ndarray:
     return np.concatenate(blocks, axis=-1) @ wo
 
 
+def conv2d_ref(x, w, b, dilation: int, pad_mode: str, probe):
+    """Stride-1 "same" convolution as a direct sum over output cells and
+    kernel taps (vectorised over frames only), with the gradients of
+    ``sum(probe * y)``.
+
+    A tap that falls outside the frame reads zero (``"zero"``) or the
+    nearest edge cell (``"edge"``), so under edge padding a border cell
+    collects the gradient of every tap clamped onto it.  Returns
+    ``(y, gx, gw, gb)``.
+    """
+    n, h, wd, _ = x.shape
+    kh, kw, _, cout = w.shape
+    y = np.zeros((n, h, wd, cout))
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for r in range(h):
+        for c in range(wd):
+            for i in range(kh):
+                for j in range(kw):
+                    sr = r + (i - kh // 2) * dilation
+                    sc = c + (j - kw // 2) * dilation
+                    if not (0 <= sr < h and 0 <= sc < wd):
+                        if pad_mode == "zero":
+                            continue
+                        sr, sc = min(max(sr, 0), h - 1), min(max(sc, 0), wd - 1)
+                    y[:, r, c] += x[:, sr, sc] @ w[i, j]
+                    gx[:, sr, sc] += probe[:, r, c] @ w[i, j].T
+                    gw[i, j] += x[:, sr, sc].T @ probe[:, r, c]
+    return y + b, gx, gw, probe.sum(axis=(0, 1, 2))
+
+
 def pairwise_distances_ref(seq: np.ndarray, metric: str) -> np.ndarray:
     """T x T frame distances by explicit double loop."""
     t = seq.shape[0]

@@ -194,6 +194,10 @@ MANIFEST_CASES = [
                  id="num-frames-float"),
     pytest.param(manifest_line(num_frames="19"), ".num_frames",
                  id="num-frames-string"),
+    pytest.param(manifest_line(num_frames=0, boundaries=[]), ": num_frames",
+                 id="num-frames-zero"),
+    pytest.param(manifest_line(num_frames=-3, boundaries=[]), ": num_frames",
+                 id="num-frames-negative"),
     pytest.param(manifest_line(id=9), ".id", id="id-int"),
     pytest.param(manifest_line(fps=25), ".fps", id="unknown-key"),
     pytest.param(manifest_line(split=DROP), ".split", id="missing-key"),

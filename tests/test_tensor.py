@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ddm import tensor as T
 from ddm.errors import ContractError, DimensionError, NumericError
 
-from oracles import check_gradients, finite_difference, rel_err, softmax_rows
+from oracles import (check_gradients, conv2d_ref, finite_difference, rel_err,
+                     softmax_rows)
 
 
 def _probe_loss(out, probe):
@@ -328,7 +329,83 @@ def test_conv_rejects_even_kernel_and_unknown_pad_mode(call, error):
         call()
 
 
+# (input shape, kernel shape, dilation, pad mode): each input spans several
+# row chunks of conv2d, split unevenly (7 frames into 2 + 2 + 3, 301 into
+# 150 + 151); the 1 x K kernels on height-1 inputs are conv1d's view
+CONV_CASES = [
+    pytest.param((7, 30, 40, 2), (3, 3, 2, 3), 1, "zero", id="3x3-zero"),
+    pytest.param((7, 30, 40, 2), (3, 3, 2, 3), 2, "edge", id="3x3-edge-dil2"),
+    pytest.param((301, 1, 25, 3), (1, 3, 3, 4), 2, "edge", id="1x3-edge-dil2"),
+    pytest.param((301, 1, 25, 3), (1, 5, 3, 4), 1, "zero", id="1x5-zero"),
+]
+
+
+@pytest.mark.parametrize("xshape, wshape, dilation, pad_mode", CONV_CASES)
+def test_conv2d_matches_direct_sum(xshape, wshape, dilation, pad_mode):
+    n, h, wd, _ = xshape
+    assert len(T._frame_chunks(n, h * wd)) > 1
+    rng = np.random.default_rng(3)
+    x = T.parameter(rng.standard_normal(xshape))
+    w = T.parameter(rng.standard_normal(wshape))
+    b = T.parameter(rng.standard_normal(wshape[-1]))
+    probe = rng.standard_normal((n, h, wd, wshape[-1]))
+    y = T.conv2d(x, w, b, dilation, pad_mode)
+    T.backward((y * probe).sum())
+    want = conv2d_ref(x.data, w.data, b.data, dilation, pad_mode, probe)
+    for got, ref in zip((y.data, x.grad, w.grad, b.grad), want):
+        assert rel_err(got, ref) <= 1e-12
+
+
+def test_conv2d_skips_the_input_gradient_nobody_reads():
+    rng = np.random.default_rng(4)
+    xd = rng.standard_normal((7, 30, 40, 3))
+    wd, bd = rng.standard_normal((3, 3, 3, 5)), rng.standard_normal(5)
+    grads = {}
+    for needs in (True, False):
+        x = T.Tensor(xd, requires_grad=needs)
+        w, b = T.parameter(wd), T.parameter(bd)
+        T.backward(T.square(T.conv2d(x, w, b)).sum())
+        grads[needs] = (x.grad, w.grad.tobytes(), b.grad.tobytes())
+    assert grads[True][0] is not None and grads[False][0] is None
+    assert grads[True][1:] == grads[False][1:]
+
+
 # -- tape mechanics ---------------------------------------------------------
+
+
+def test_backward_releases_each_record_before_running_it():
+    x = T.parameter([1.0, 2.0])
+    a = x * 2.0
+    seen = []
+
+    def bw(g):
+        tape = T._nodes()
+        seen.append((all(node is None for node in tape[slot:]),
+                     all(node is not None for node in tape[:slot])))
+        return (g,)
+
+    probe = T._record(T.Tensor(a.data), (a,), bw)
+    slot = probe.node_id
+    T.backward((probe * 3.0).sum())
+    assert seen == [(True, True)]
+    assert x.grad.tolist() == [6.0, 6.0]
+
+
+def test_backward_that_raises_midway_still_empties_the_tape():
+    x = T.parameter([1.0, 2.0])
+    a = x * 2.0
+
+    def bw(g):
+        raise NumericError("backward failed midway")
+
+    b = T._record(T.Tensor(a.data), (a,), bw)
+    c = b * 3.0
+    loss = c.sum()
+    with pytest.raises(NumericError):
+        T.backward(loss)
+    assert T._nodes() == []
+    assert [t.node_id for t in (a, b, c, loss)] == [None] * 4
+    assert x.grad is None
 
 
 def test_gradient_accumulates_when_input_reused():
