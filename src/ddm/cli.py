@@ -95,7 +95,6 @@ def resolve_config(args) -> RunConfig:
             section, key = name.split(".")
             part = dataclasses.replace(getattr(cfg, section), **{key: value})
             cfg = dataclasses.replace(cfg, **{section: part})
-    cfg.validate()
     return cfg
 
 
@@ -145,6 +144,12 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     cfg = resolve_config(args)
     videos = read_dataset(args.data, split=args.split)
+    for video in videos if args.plot else ():
+        # the id becomes a file name under plots/
+        if video.video_id in ("", ".", "..") or any(
+                c in video.video_id for c in "/\\"):
+            raise DataError(f"{args.data}: video id {video.video_id!r} is "
+                            f"not a plain file name, so it cannot name a plot")
     model = BoundaryModel(cfg.model, seed=cfg.train.seed)
     load_checkpoint(args.checkpoint, model)
     snapshot_config(cfg, args.out)

@@ -8,6 +8,10 @@ and ``paper`` (full-scale hyperparameters: window 5, clip stride 6, three
 spatial and three temporal levels, five queries, six-layer decoders,
 learning rate 1e-5).  :func:`typed` decodes every JSON value the package
 reads: configs, and the dataclass records of JSON-lines files.
+
+Each config dataclass checks its values in ``__post_init__``, so an invalid
+config cannot be built, whether by its constructor, ``dataclasses.replace``
+or :func:`typed`, and code that receives one does not check it again.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class ClipSpec:
     def length(self) -> int:
         return 2 * self.half_window + 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.half_window < 0:
             raise ConfigError(f"half_window must be >= 0, got {self.half_window}")
         if self.stride < 1:
@@ -91,7 +95,7 @@ class ModelConfig:
     def ffn_width(self) -> int:
         return 2 * self.width if self.ffn_hidden is None else self.ffn_hidden
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.backbone_widths or any(w < 1 for w in self.backbone_widths):
             raise ConfigError(f"bad backbone widths {self.backbone_widths}")
         if self.width != self.backbone_widths[-1]:
@@ -133,7 +137,7 @@ class TrainConfig:
     neg_run: int = 6  # max negative-run chunk length for balanced sampling
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -156,7 +160,7 @@ class PostConfig:
     theta: float = 0.5
     window: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
         if self.window < 1:
@@ -171,7 +175,7 @@ class EvalConfig:
     matching: str = "optimal"   # or "greedy"
     aggregation: str = "global"  # or "per-video"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.thresholds or any(not 0.0 < t <= 1.0 for t in self.thresholds):
             raise ConfigError(f"bad threshold list {self.thresholds}")
         if list(self.thresholds) != sorted(self.thresholds):
@@ -207,7 +211,7 @@ class GenSpec:
     regimes: tuple[str, ...] = ("color-shift", "appear-disappear")
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.train_videos < 0 or self.val_videos < 0:
             raise ConfigError("video counts must be >= 0")
         if not 1 <= self.min_frames <= self.max_frames:
@@ -246,13 +250,7 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     eval_stride: int = 3  # spacing of scored positions along a video
 
-    def validate(self) -> None:
-        self.gen.validate()
-        self.clip.validate()
-        self.model.validate()
-        self.train.validate()
-        self.post.validate()
-        self.eval.validate()
+    def __post_init__(self) -> None:
         if self.eval_stride < 1:
             raise ConfigError(f"eval_stride must be >= 1, got {self.eval_stride}")
 
@@ -300,19 +298,8 @@ def typed(where: str, hint, value, error=ConfigError):
     return value
 
 
-def from_dict(payload: dict) -> RunConfig:
-    hints = _hints(RunConfig)
-    extra = sorted(payload.keys() - hints.keys())
-    if extra:
-        raise ConfigError(f"unknown config section {extra[0]!r}")
-    cfg = RunConfig(**{key: typed(key, hints[key], value)
-                       for key, value in payload.items()})
-    cfg.validate()
-    return cfg
-
-
-def to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
+def from_dict(payload) -> RunConfig:
+    return typed("config", RunConfig, payload)
 
 
 def loads(text: str) -> RunConfig:
@@ -320,13 +307,11 @@ def loads(text: str) -> RunConfig:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
     return from_dict(payload)
 
 
 def dumps(cfg: RunConfig) -> str:
-    return json.dumps(to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def load_file(path) -> RunConfig:

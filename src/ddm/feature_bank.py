@@ -66,7 +66,6 @@ class FeatureExtractor:
     """Backbone plus temporal pyramid; owns all their parameters."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         self.params: dict[str, T.Tensor] = {}
         cin = 3  # RGB frames

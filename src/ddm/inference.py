@@ -72,7 +72,6 @@ def select_peaks(scores: np.ndarray, cfg: PostConfig) -> np.ndarray:
     and >= each of the next ``window``; runs over tens of thousands of
     scores in well under a millisecond.
     """
-    cfg.validate()
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ContractError(f"scores must be 1-d, got shape {scores.shape}")

@@ -47,7 +47,6 @@ class ModelOutput:
 
 class BoundaryModel:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         rng = rngmod.stream(seed, rngmod.INIT)
         self.extractor = FeatureExtractor(cfg, rng)

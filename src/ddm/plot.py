@@ -9,6 +9,8 @@ and safe to regenerate in tests.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .errors import ContractError
@@ -45,7 +47,7 @@ def score_curve_svg(positions, scores, kept=(), theta: float | None = None,
     ]
     if title:
         parts.append(f'<text x="{PAD:.1f}" y="16" font-size="12" '
-                     f'font-family="monospace">{title}</text>')
+                     f'font-family="monospace">{escape(title)}</text>')
     if theta is not None:
         y = _y(float(theta))
         parts.append(f'<line x1="{PAD:.1f}" y1="{y:.2f}" '

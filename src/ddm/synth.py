@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -103,7 +104,6 @@ def _event_lengths(rng: np.random.Generator, total: int, events: int,
 def generate_video(spec: GenSpec, video_id: str, split: str = "train",
                    seed: int | None = None) -> VideoRecord:
     """Render one video; fully determined by (spec, video_id, seed)."""
-    spec.validate()
     base_seed = spec.seed if seed is None else seed
     rng = rngmod.stream(base_seed, rngmod.GEN, rngmod.string_key(video_id))
 
@@ -221,7 +221,7 @@ def read_frames(path) -> np.ndarray:
     if version != FRAMES_VERSION:
         raise DataError(f"{path}: unsupported frames version {version}")
     shape = struct.unpack_from("<4I", blob, 8)
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # Python ints: four large extents cannot wrap
     expected = 24 + 4 * count
     if len(blob) != expected:
         raise DataError(
@@ -229,7 +229,8 @@ def read_frames(path) -> np.ndarray:
             f"(expected {expected} bytes)")
     frames = np.frombuffer(blob, dtype="<f4", count=count, offset=24)
     frames = frames.reshape(shape).astype(np.float32)
-    if frames.size and (frames.min() < 0.0 or frames.max() > 1.0):
+    # written so that NaN, which fails every comparison, fails the check
+    if frames.size and not (frames.min() >= 0.0 and frames.max() <= 1.0):
         raise DataError(f"{path}: frame values outside [0, 1]")
     return frames
 

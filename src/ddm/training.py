@@ -212,7 +212,6 @@ def _epoch_items(videos, cfg: RunConfig, epoch: int):
 def train(model: BoundaryModel, videos: list[VideoRecord], cfg: RunConfig,
           out_dir=None, resume_from=None) -> TrainResult:
     """Train in place; optionally write per-epoch checkpoints and loss.csv."""
-    cfg.validate()
     if not videos:
         raise ContractError("no training videos")
     tc = cfg.train

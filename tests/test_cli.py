@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import shutil
+import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,6 +116,25 @@ def test_infer_plot_writes_svg(pipeline, tmp_path):
     # the plotted run must produce the very same predictions
     assert (out / "predictions.jsonl").read_bytes() == \
         (pipeline.pred / "predictions.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b", ".", "..", ""])
+def test_infer_plot_rejects_an_id_that_is_not_a_file_name(pipeline, tmp_path,
+                                                          capsys, bad_id):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline.data, data)
+    manifest = data / "manifest.jsonl"
+    lines = [json.loads(line) for line in manifest.read_text().splitlines()]
+    for line in lines:
+        if line["id"] == "val-0000":
+            line["id"] = bad_id
+    manifest.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "run" / "out"
+    assert entry(["infer", "--config", str(pipeline.cfg), "--data", str(data),
+                  "--checkpoint", str(pipeline.run / "final.ddmn"),
+                  "--out", str(out), "--plot"]) == 2
+    assert repr(bad_id) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +418,14 @@ def test_svg_is_deterministic_and_validated():
     assert "circle" in a and "polyline" in a
     with pytest.raises(ContractError):
         score_curve_svg(positions, scores[:-1])
+
+
+def test_svg_title_is_escaped():
+    svg = score_curve_svg(np.arange(3), np.full(3, 0.5), title="cut&run<1>")
+    assert ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text").text \
+        == "cut&run<1>"
+    plain = score_curve_svg(np.arange(3), np.full(3, 0.5), title="val-0000")
+    assert 'font-family="monospace">val-0000</text>' in plain
 
 
 def test_svg_handles_empty_curve():

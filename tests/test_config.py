@@ -10,12 +10,12 @@ from ddm.errors import ConfigError
 
 
 def test_defaults_validate():
-    C.RunConfig().validate()
+    C.RunConfig()
 
 
 @pytest.mark.parametrize("preset", sorted(C.PRESETS))
 def test_presets_validate(preset):
-    C.PRESETS[preset]().validate()
+    C.PRESETS[preset]()
 
 
 def test_desk_and_paper_presets_differ_where_expected():
@@ -57,18 +57,34 @@ def test_desk_and_paper_presets_differ_where_expected():
     ("gen", "square_size", 0),
 ])
 def test_invalid_values_rejected(section, field, value):
-    cfg = C.RunConfig()
-    part = dataclasses.replace(getattr(cfg, section), **{field: value})
-    bad = dataclasses.replace(cfg, **{section: part})
     with pytest.raises(ConfigError):
-        bad.validate()
+        dataclasses.replace(getattr(C.RunConfig(), section), **{field: value})
+
+
+def test_eval_stride_must_be_positive():
+    with pytest.raises(ConfigError, match="eval_stride"):
+        dataclasses.replace(C.RunConfig(), eval_stride=0)
+
+
+@pytest.mark.parametrize("text", [
+    '{"model": {"heads": 7}}',
+    '{"eval_stride": 0}',
+    '{"gen": {"min_frames": 30, "max_frames": 40}}',
+])
+def test_decoded_values_are_checked(text):
+    with pytest.raises(ConfigError):
+        C.loads(text)
+
+
+def test_config_root_must_be_an_object():
+    with pytest.raises(ConfigError, match="config must be an object"):
+        C.loads("[]")
 
 
 def test_event_budget_must_fit_in_shortest_video():
-    gen = C.GenSpec(min_frames=30, max_frames=40, max_events=4,
-                    min_event_len=12)
     with pytest.raises(ConfigError):
-        gen.validate()
+        C.GenSpec(min_frames=30, max_frames=40, max_events=4,
+                  min_event_len=12)
 
 
 def test_json_round_trip_preserves_everything():
@@ -87,7 +103,8 @@ def test_json_round_trip_of_modified_config():
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(ConfigError, match="unknown config section"):
+    with pytest.raises(ConfigError,
+                       match=r"config\.optimizer: unknown RunConfig field"):
         C.loads('{"optimizer": {}}')
 
 

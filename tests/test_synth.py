@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -145,6 +146,26 @@ def test_corrupt_frames_file_rejected(tmp_path):
     victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
     with pytest.raises(DataError, match="magic"):
         synth.read_dataset(tmp_path)
+
+
+def test_frames_header_whose_element_count_overflows_rejected(tmp_path):
+    # 65536**4 is 2**64, which wraps to 0 in a 64-bit product and would
+    # make this header-only file look complete
+    path = tmp_path / "huge.ddmf"
+    path.write_bytes(synth.FRAMES_MAGIC
+                     + struct.pack("<5I", synth.FRAMES_VERSION, *[65536] * 4))
+    with pytest.raises(DataError, match="does not match header"):
+        synth.read_frames(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1.5, -0.25])
+def test_frame_values_outside_unit_range_rejected(tmp_path, value):
+    frames = np.full((3, 4, 4, 3), 0.5, dtype=np.float32)
+    frames[1, 2, 3, 0] = value
+    path = tmp_path / "bad.ddmf"
+    synth.write_frames(path, frames)
+    with pytest.raises(DataError, match=r"outside \[0, 1\]"):
+        synth.read_frames(path)
 
 
 def test_manifest_frame_count_mismatch_rejected(tmp_path):
