@@ -151,6 +151,8 @@ class TrainConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.neg_run < 1:
             raise ConfigError(f"neg_run must be >= 1, got {self.neg_run}")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +240,8 @@ class GenSpec:
         for r in self.regimes:
             if r not in REGIMES:
                 raise ConfigError(f"unknown regime {r!r}; pick from {REGIMES}")
+        if self.seed < 0:
+            raise ConfigError(f"gen seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from . import tensor as T
 from .attention import CoAttention, MapSqueeze, QueryDecoder
 from .config import ModelConfig
 from .diffmap import DiffMapEmbedding, raw_difference_maps
-from .errors import DataError
 from .feature_bank import FeatureExtractor, build_feature_bank, temporal_bank
 from .head import FusionHead, boundary_probability, complete_loss
 
@@ -65,22 +64,6 @@ class BoundaryModel:
                        self.intra_app, self.intra_map, self.co, self.head):
             out.update(module.named_params())
         return out
-
-    def load_state(self, records: dict[str, np.ndarray]) -> None:
-        params = self.named_params()
-        missing = sorted(set(params) - set(records))
-        extra = sorted(set(records) - set(params))
-        if missing or extra:
-            raise DataError(
-                f"parameter names do not match this architecture "
-                f"(missing {missing[:3]}, unexpected {extra[:3]})")
-        for name, p in params.items():
-            value = np.asarray(records[name], dtype=np.float64)
-            if value.shape != p.data.shape:
-                raise DataError(
-                    f"parameter {name!r} has shape {value.shape}, expected "
-                    f"{p.data.shape}")
-            p.data = value.copy()
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_params().items()}

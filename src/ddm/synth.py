@@ -227,6 +227,8 @@ def read_frames(path) -> np.ndarray:
         raise DataError(
             f"{path}: size {len(blob)} does not match header "
             f"(expected {expected} bytes)")
+    if shape[3] != 3:
+        raise DataError(f"{path}: frames have {shape[3]} channels, expected 3")
     frames = np.frombuffer(blob, dtype="<f4", count=count, offset=24)
     frames = frames.reshape(shape).astype(np.float32)
     # written so that NaN, which fails every comparison, fails the check
@@ -278,6 +280,11 @@ def read_manifest(data_dir, split: str | None = None) -> list[ManifestEntry]:
             raise DataError(
                 f"{manifest}:{lineno}: boundaries must be strictly increasing "
                 f"and inside (0, {entry.num_frames}), got {list(bt)}")
+        if os.path.isabs(entry.frames_file) or os.pardir in \
+                entry.frames_file.split("/"):
+            raise DataError(
+                f"{manifest}:{lineno}: frames_file {entry.frames_file!r} "
+                f"must be a relative path inside the dataset directory")
         if split is None or entry.split == split:
             entries.append(entry)
     if split is not None and not entries:

@@ -13,8 +13,8 @@ drawn uniformly per chunk.  All random choices derive from
 and lets a resumed run continue bit-exactly: a checkpoint only needs the
 parameters, Adam moments, and the (seed, epoch, step) counters.
 
-Checkpoints are record containers holding ``param/*``, ``adam/m/*``,
-``adam/v/*`` and ``meta/*`` entries; the loss curve is ``loss.csv`` with
+Checkpoints are record containers laid out by :func:`checkpoint_layout`,
+which both saving and loading follow; the loss curve is ``loss.csv`` with
 ``step,epoch,loss`` rows at full float precision.
 """
 
@@ -135,47 +135,57 @@ def adam_step(params: dict, state: AdamState, lr: float, beta1: float = 0.9,
 # checkpoints
 
 
+META = {"epoch": -1, "step": 0, "seed": 0}  # lowest values; epochs 0 saves -1
+
+
+def checkpoint_layout(model: BoundaryModel) -> dict[str, tuple]:
+    """Record name -> (group, key, shape) in file order: ``param/<name>``,
+    then ``adam/m/<name>`` and ``adam/v/<name>`` in ``named_params()``
+    order, then the 0-d ``meta/epoch``, ``meta/step`` and ``meta/seed``."""
+    shapes = {name: p.data.shape for name, p in model.named_params().items()}
+    layout = {f"{group}/{name}": (group, name, shape)
+              for group in ("param", "adam/m", "adam/v")
+              for name, shape in shapes.items()}
+    return layout | {f"meta/{key}": ("meta", key, ()) for key in META}
+
+
 def save_checkpoint(path, model: BoundaryModel, state: AdamState,
                     epoch: int, seed: int) -> None:
-    records: dict[str, np.ndarray] = {}
-    for name, value in model.state().items():
-        records[f"param/{name}"] = value
-    for name, value in state.m.items():
-        records[f"adam/m/{name}"] = value
-    for name, value in state.v.items():
-        records[f"adam/v/{name}"] = value
-    records["meta/epoch"] = np.asarray(float(epoch))
-    records["meta/step"] = np.asarray(float(state.step))
-    records["meta/seed"] = np.asarray(float(seed))
-    save_records(path, records)
+    groups = {"param": {n: p.data for n, p in model.named_params().items()},
+              "adam/m": state.m, "adam/v": state.v,
+              "meta": {"epoch": epoch, "step": state.step, "seed": seed}}
+    save_records(path, {record: groups[group][key] for record, (group, key, _)
+                        in checkpoint_layout(model).items()})
 
 
 def load_checkpoint(path, model: BoundaryModel) -> tuple[AdamState, dict]:
-    """Restore parameters and optimiser state; returns (state, meta)."""
+    """Restore parameters and optimiser state; returns (state, meta).  A
+    record that is missing, unexpected, not of its :func:`checkpoint_layout`
+    shape, or a meta value that is no integer >= its ``META`` bound raises a
+    ``DataError`` naming the file and the record, and the model stays as is."""
     records = load_records(path)
-    groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam/m": {},
-                                                "adam/v": {}, "meta": {}}
-    for name, value in records.items():
-        for prefix in ("adam/m/", "adam/v/", "param/", "meta/"):
-            if name.startswith(prefix):
-                groups[prefix.rstrip("/")][name[len(prefix):]] = value
-                break
-        else:
-            raise DataError(f"{os.fspath(path)}: unexpected record {name!r}")
-    model.load_state(groups["param"])
-    expected = set(model.named_params())
-    for part in ("adam/m", "adam/v"):
-        if set(groups[part]) != expected:
-            raise DataError(
-                f"{os.fspath(path)}: optimiser state does not match the model")
-    meta = {name: float(value) for name, value in groups["meta"].items()}
-    for key in ("epoch", "step", "seed"):
-        if key not in meta:
-            raise DataError(f"{os.fspath(path)}: missing meta/{key}")
-    state = AdamState(step=int(meta["step"]),
-                      m={k: v.copy() for k, v in groups["adam/m"].items()},
-                      v={k: v.copy() for k, v in groups["adam/v"].items()})
-    return state, meta
+    layout = checkpoint_layout(model)
+    for record in records:
+        if record not in layout:
+            raise DataError(f"{path}: unexpected record {record!r}")
+    groups = {group: {} for group, _, _ in layout.values()}
+    for record, (group, key, shape) in layout.items():
+        if record not in records:
+            raise DataError(f"{path}: missing record {record!r}")
+        value = records[record]
+        if value.shape != shape:
+            raise DataError(f"{path}: record {record!r} has shape "
+                            f"{value.shape}, expected {shape}")
+        # NaN and inf are no integers
+        if group == "meta" and not (float(value).is_integer()
+                                    and value >= META[key]):
+            raise DataError(f"{path}: record {record!r} must be an integer "
+                            f">= {META[key]}, got {float(value)}")
+        groups[group][key] = value
+    meta = {key: int(value) for key, value in groups["meta"].items()}
+    for name, p in model.named_params().items():
+        p.data = groups["param"][name]
+    return AdamState(meta["step"], groups["adam/m"], groups["adam/v"]), meta
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +224,23 @@ def train(model: BoundaryModel, videos: list[VideoRecord], cfg: RunConfig,
     """Train in place; optionally write per-epoch checkpoints and loss.csv."""
     if not videos:
         raise ContractError("no training videos")
+    size = videos[0].frames.shape[1:3]
+    for video in videos:  # the clips of a batch are stacked into one array
+        if video.frames.shape[1:3] != size:
+            raise DataError(
+                f"training video {video.video_id!r} has frames of size "
+                f"{video.frames.shape[1:3]}, but {videos[0].video_id!r} {size}")
     tc = cfg.train
     params = model.named_params()
     state = adam_init(params)
     start_epoch = 0
     if resume_from is not None:
         state, meta = load_checkpoint(resume_from, model)
-        if int(meta["seed"]) != tc.seed:
+        if meta["seed"] != tc.seed:
             raise DataError(
                 f"checkpoint {os.fspath(resume_from)} was trained with seed "
-                f"{int(meta['seed'])}, not {tc.seed}")
-        start_epoch = int(meta["epoch"]) + 1
+                f"{meta['seed']}, not {tc.seed}")
+        start_epoch = meta["epoch"] + 1
         log.info("resuming from %s at epoch %d", resume_from, start_epoch)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

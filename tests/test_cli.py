@@ -18,9 +18,10 @@ from ddm.errors import (ConfigError, ContractError, DataError, DDMError,
 from ddm.inference import Prediction, predict_dataset
 from ddm.model import BoundaryModel
 from ddm.plot import score_curve_svg
-from ddm.synth import read_dataset
+from ddm.synth import read_dataset, read_frames, write_frames
 from ddm.training import load_checkpoint
 from test_synth import DROP, MANIFEST_CASES
+from test_training import CHECKPOINT_CASES, break_checkpoint
 
 TINY = {
     "gen": {"train_videos": 3, "val_videos": 2, "min_frames": 18,
@@ -249,6 +250,39 @@ def test_missing_checkpoint_exits_2(pipeline, tmp_path):
                   "--data", str(pipeline.data),
                   "--checkpoint", str(tmp_path / "missing.ddmn"),
                   "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--resume"),
+                                           ("infer", "--checkpoint")])
+@pytest.mark.parametrize("record, value, word", CHECKPOINT_CASES)
+def test_checkpoint_that_does_not_fit_the_model_exits_2(
+        pipeline, tmp_path, capsys, command, flag, record, value, word):
+    bad = tmp_path / "bad.ddmn"
+    break_checkpoint(pipeline.run / "final.ddmn", bad, record, value)
+    assert entry([command, "--config", str(pipeline.cfg),
+                  "--data", str(pipeline.data), "--out", str(tmp_path / "out"),
+                  flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+    assert repr(record) in err and word in err
+
+
+@pytest.mark.parametrize("change, word", [
+    (lambda frames: frames[..., :1], "channels"),
+    (lambda frames: frames[:, 1:], "frames"),
+], ids=["one-channel", "other-height"])
+def test_frames_that_cannot_feed_the_model_exit_2(pipeline, tmp_path, capsys,
+                                                  change, word):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline.data, data)
+    path = data / "frames" / "train-0001.ddmf"
+    write_frames(path, change(read_frames(path)))
+    assert entry(["train", "--config", str(pipeline.cfg), "--data", str(data),
+                  "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "train-0001" in err and word in err
 
 
 def test_unknown_video_in_predictions_exits_2(pipeline, tmp_path):

@@ -55,6 +55,8 @@ def test_desk_and_paper_presets_differ_where_expected():
     ("gen", "regimes", ("color-shift", "teleport")),
     ("gen", "jitter", -0.1),
     ("gen", "square_size", 0),
+    ("train", "seed", -1),
+    ("gen", "seed", -1),
 ])
 def test_invalid_values_rejected(section, field, value):
     with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Composed model: ablation wiring, determinism, state IO, gradients."""
+"""Composed model: ablation wiring, determinism, gradients."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from dataclasses import replace
 
 from ddm import tensor as T
 from ddm.config import METRICS, ModelConfig
-from ddm.errors import DataError
 from ddm.model import BoundaryModel
 
 from oracles import check_gradients
@@ -95,32 +94,6 @@ def test_forward_is_deterministic():
     a = model.forward(clips).fused.data
     b = model.forward(clips).fused.data
     assert a.tobytes() == b.tobytes()
-
-
-def test_state_round_trip_reproduces_outputs():
-    rng = np.random.default_rng(5)
-    clips = _clips(rng)
-    src = BoundaryModel(TINY, seed=6)
-    expected = src.forward(clips).fused.data
-    dst = BoundaryModel(TINY, seed=999)
-    dst.load_state(src.state())
-    assert np.array_equal(dst.forward(clips).fused.data, expected)
-
-
-def test_load_state_rejects_wrong_names_and_shapes():
-    model = BoundaryModel(TINY, seed=0)
-    state = model.state()
-    broken = dict(state)
-    broken.pop(next(iter(broken)))
-    with pytest.raises(DataError, match="missing"):
-        model.load_state(broken)
-    extra = dict(state, **{"retired/w": np.zeros(2)})
-    with pytest.raises(DataError, match="unexpected.*retired/w"):
-        model.load_state(extra)
-    wrong = dict(state)
-    wrong["head/alpha"] = np.zeros(3)
-    with pytest.raises(DataError, match="shape"):
-        model.load_state(wrong)
 
 
 @pytest.mark.parametrize("metric", METRICS)

@@ -220,6 +220,10 @@ MANIFEST_CASES = [
     pytest.param(manifest_line(num_frames=-3, boundaries=[]), ": num_frames",
                  id="num-frames-negative"),
     pytest.param(manifest_line(id=9), ".id", id="id-int"),
+    pytest.param(manifest_line(frames_file="/tmp/val-0009.ddmf"),
+                 ": frames_file", id="frames-file-absolute"),
+    pytest.param(manifest_line(frames_file="frames/../../val-0009.ddmf"),
+                 ": frames_file", id="frames-file-outside"),
     pytest.param(manifest_line(fps=25), ".fps", id="unknown-key"),
     pytest.param(manifest_line(split=DROP), ".split", id="missing-key"),
     pytest.param("[1, 2]", " must be an object", id="line-not-object"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ddm import rng as rngmod
 from ddm import tensor as T
+from ddm.checkpoint import load_records, save_records
 from ddm.config import (ClipSpec, GenSpec, ModelConfig, PostConfig, RunConfig,
                         TrainConfig)
 from ddm.errors import ContractError, DataError, NumericError
@@ -18,6 +19,7 @@ from ddm.training import (AdamState, adam_init, adam_step, assign_labels,
                           balanced_sample, evaluated_positions,
                           load_checkpoint, loss_csv_text, save_checkpoint,
                           train)
+from test_synth import DROP
 
 # ---------------------------------------------------------------------------
 # positions and labels
@@ -301,6 +303,19 @@ def test_train_resume_is_bit_exact(tmp_path):
     assert res_full.loss_rows == res_first.loss_rows + res_second.loss_rows
 
 
+def test_train_resumes_from_a_run_of_no_epochs(tmp_path):
+    cfg = tiny_run(epochs=1)
+    videos = tiny_videos(cfg)
+    straight = BoundaryModel(cfg.model, seed=0)
+    expected = train(straight, videos, cfg).loss_rows
+    empty = train(BoundaryModel(cfg.model, seed=0), videos,
+                  tiny_run(epochs=0), out_dir=tmp_path)
+    assert load_records(empty.final_path)["meta/epoch"] == -1.0
+    resumed = BoundaryModel(cfg.model, seed=0)
+    assert train(resumed, videos, cfg,
+                 resume_from=empty.final_path).loss_rows == expected
+
+
 def test_train_resume_rejects_seed_mismatch(tmp_path):
     cfg = tiny_run(epochs=1)
     videos = tiny_videos(cfg)
@@ -318,21 +333,27 @@ def test_train_requires_videos():
         train(BoundaryModel(cfg.model, seed=0), [], cfg)
 
 
-def test_checkpoint_state_round_trip(tmp_path):
-    cfg = tiny_run()
-    model = BoundaryModel(cfg.model, seed=1)
+def stepped_model(seed=1):
+    """A tiny model and its Adam state after one step on random gradients."""
+    model = BoundaryModel(TINY_MODEL, seed=seed)
     params = model.named_params()
     state = adam_init(params)
     rng = np.random.default_rng(0)
     for p in params.values():
         p.grad = rng.standard_normal(p.shape)
     adam_step(params, state, lr=1e-3)
+    return model, state
+
+
+def test_checkpoint_state_round_trip(tmp_path):
+    model, state = stepped_model()
+    params = model.named_params()
     path = tmp_path / "ck.ddmn"
     save_checkpoint(path, model, state, epoch=4, seed=11)
 
-    fresh = BoundaryModel(cfg.model, seed=2)
+    fresh = BoundaryModel(TINY_MODEL, seed=2)
     restored, meta = load_checkpoint(path, fresh)
-    assert meta == {"epoch": 4.0, "step": 1.0, "seed": 11.0}
+    assert meta == {"epoch": 4, "step": 1, "seed": 11}
     assert restored.step == state.step
     for name in params:
         assert np.array_equal(fresh.named_params()[name].data, params[name].data)
@@ -340,19 +361,70 @@ def test_checkpoint_state_round_trip(tmp_path):
         assert np.array_equal(restored.v[name], state.v[name])
 
 
-def test_load_checkpoint_rejects_foreign_records(tmp_path):
-    from ddm.checkpoint import save_records
+def test_checkpoint_bytes_are_the_documented_record_order(tmp_path):
+    model, state = stepped_model()
+    save_checkpoint(tmp_path / "ck.ddmn", model, state, epoch=4, seed=11)
+    params = model.named_params()
+    records = {f"param/{name}": p.data for name, p in params.items()}
+    records |= {f"adam/m/{name}": state.m[name] for name in params}
+    records |= {f"adam/v/{name}": state.v[name] for name in params}
+    records |= {"meta/epoch": 4.0, "meta/step": 1.0, "meta/seed": 11.0}
+    save_records(tmp_path / "documented.ddmn", records)
+    assert (tmp_path / "ck.ddmn").read_bytes() == \
+        (tmp_path / "documented.ddmn").read_bytes()
 
-    cfg = tiny_run()
-    model = BoundaryModel(cfg.model, seed=0)
-    state = adam_init(model.named_params())
-    path = tmp_path / "ck.ddmn"
-    save_checkpoint(path, model, state, epoch=0, seed=0)
-    from ddm.checkpoint import load_records
 
-    records = load_records(path)
-    records["bogus/entry"] = np.zeros(3)
+def test_checkpoint_round_trip_reproduces_outputs(tmp_path):
+    clips = np.random.default_rng(5).random((2, 5, 8, 8, 3))
+    src, state = stepped_model(seed=6)
+    save_checkpoint(tmp_path / "ck.ddmn", src, state, epoch=0, seed=0)
+    dst = BoundaryModel(TINY_MODEL, seed=999)
+    load_checkpoint(tmp_path / "ck.ddmn", dst)
+    assert np.array_equal(dst.forward(clips).fused.data,
+                          src.forward(clips).fused.data)
+
+
+# (record, the value written in its place -- DROP removes it -- and a word
+# of the error); every case holds for any model with a squeeze
+CHECKPOINT_CASES = [
+    pytest.param("param/squeeze/wm", DROP, "missing", id="missing"),
+    pytest.param("retired/w", np.zeros(2), "unexpected", id="unexpected"),
+    pytest.param("param/squeeze/wm", np.zeros(3), "shape", id="param-shape"),
+    pytest.param("adam/m/squeeze/wm", np.zeros(()), "shape", id="moment-0d"),
+    pytest.param("adam/v/squeeze/wmu", np.zeros((1, 6)), "shape",
+                 id="moment-shape"),
+    pytest.param("meta/epoch", np.nan, "integer", id="meta-nan"),
+    pytest.param("meta/seed", np.inf, "integer", id="meta-inf"),
+    pytest.param("meta/step", 2.5, "integer", id="meta-fraction"),
+    pytest.param("meta/epoch", -2.0, "integer", id="meta-epoch-below-minus-1"),
+    pytest.param("meta/seed", -1.0, "integer", id="meta-seed-negative"),
+    pytest.param("meta/step", np.zeros(2), "shape", id="meta-vector"),
+]
+
+
+def break_checkpoint(src, dst, record, value) -> None:
+    """Copies checkpoint ``src`` to ``dst`` with one record changed."""
+    records = load_records(src)
+    if value is DROP:
+        del records[record]
+    else:
+        records[record] = value
+    save_records(dst, records)
+
+
+@pytest.mark.parametrize("record, value, word", CHECKPOINT_CASES)
+def test_load_checkpoint_rejects_foreign_records(tmp_path, record, value,
+                                                 word):
+    model, state = stepped_model()
+    save_checkpoint(tmp_path / "ck.ddmn", model, state, epoch=0, seed=0)
     bad = tmp_path / "bad.ddmn"
-    save_records(bad, records)
-    with pytest.raises(DataError):
-        load_checkpoint(bad, BoundaryModel(cfg.model, seed=0))
+    break_checkpoint(tmp_path / "ck.ddmn", bad, record, value)
+    fresh = BoundaryModel(TINY_MODEL, seed=2)
+    before = fresh.state()
+    with pytest.raises(DataError) as info:
+        load_checkpoint(bad, fresh)
+    message = str(info.value)
+    assert message.startswith(f"{bad}: ")
+    assert repr(record) in message and word in message
+    for name, data in fresh.state().items():
+        assert np.array_equal(data, before[name])
