@@ -17,7 +17,7 @@ so a crash never leaves a half-written file under the final name.
 
 from __future__ import annotations
 
-import io
+import contextlib
 import os
 import struct
 import tempfile
@@ -30,14 +30,16 @@ MAGIC = b"DDMN"
 VERSION = 1
 
 
-def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via temp-file + rename."""
+@contextlib.contextmanager
+def _atomic_file(path: str | os.PathLike):
+    """A binary file handle whose contents replace ``path`` by temp-file +
+    rename once the block exits normally; on error the temp file goes."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,25 +47,34 @@ def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` via temp-file + rename."""
+    with _atomic_file(path) as fh:
+        fh.write(payload)
+
+
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def save_records(path: str | os.PathLike, records: dict[str, np.ndarray]) -> None:
-    """Serialise named arrays in dict order."""
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", VERSION))
-    for name, value in records.items():
-        arr = np.asarray(value, dtype="<f8")  # keeps 0-d shapes intact
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", arr.ndim))
-        for extent in arr.shape:
-            buf.write(struct.pack("<Q", extent))
-        buf.write(arr.tobytes(order="C"))
-    atomic_write_bytes(path, buf.getvalue())
+    """Serialise named arrays in dict order, each straight to the file."""
+    with _atomic_file(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        for name, value in records.items():
+            arr = np.asarray(value, dtype="<f8")  # keeps 0-d shapes intact
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            for extent in arr.shape:
+                fh.write(struct.pack("<Q", extent))
+            # a C-contiguous array is its own buffer; others are copied
+            if arr.ndim and arr.flags.c_contiguous:
+                fh.write(arr)
+            else:
+                fh.write(arr.tobytes(order="C"))
 
 
 def load_records(path: str | os.PathLike) -> dict[str, np.ndarray]:

@@ -13,6 +13,10 @@ drawn uniformly per chunk.  All random choices derive from
 and lets a resumed run continue bit-exactly: a checkpoint only needs the
 parameters, Adam moments, and the (seed, epoch, step) counters.
 
+Adam updates parameters and moments in place: ``p.data`` and the arrays in
+:class:`AdamState` are overwritten each step, so code that needs an earlier
+value copies it, as ``BoundaryModel.state()`` does.
+
 Checkpoints are record containers laid out by :func:`checkpoint_layout`,
 which both saving and loading follow; the loss curve is ``loss.csv`` with
 ``step,epoch,loss`` rows at full float precision.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,20 +120,94 @@ def adam_init(params: dict) -> AdamState:
 
 def adam_step(params: dict, state: AdamState, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One update; parameters with no gradient decay their moments only."""
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    """One update, in place: each ``p.data`` and its moments in ``state`` are
+    overwritten, so a caller that needs an old value copies it first, as
+    ``BoundaryModel.state()`` does.  Parameters with no gradient decay their
+    moments only.
+
+    Every gradient is checked before anything is written: a gradient whose
+    shape is not its parameter's raises ``ContractError``, a non-finite one
+    ``NumericError`` naming the first such parameter in ``params`` order, and
+    either leaves parameters, moments and ``state.step`` as they were.  On a
+    large model the check and the update each run on two threads
+    (:func:`_on_halves`); each element is written by one thread in one
+    operation order, so the bits do not depend on the split.
+    """
+    t = state.step + 1
+    work = []
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name!r} at step {t}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if g.shape != p.data.shape:
+            raise ContractError(f"gradient for {name!r} has shape {g.shape}, "
+                                f"parameter has {p.data.shape}")
+        work.append((name, p.data, g, state.m[name], state.v[name]))
+    for bad in _on_halves(_first_non_finite, work):
+        if bad is not None:
+            raise NumericError(f"non-finite gradient for {bad!r} at step {t}")
+    state.step = t
+    _on_halves(_adam_update, work, lr, beta1, beta2, eps,
+               1.0 - beta1 ** t, 1.0 - beta2 ** t)
+
+
+# Below this many parameter elements the thread costs more than it saves:
+# in training, the desk model's 0.50 M take 8.0 ms per update on one thread
+# and 10.3 ms on two; alone, the paper model's 20.45 M take about 195 ms on
+# one and 105-135 ms on two (2-core Xeon).
+_THREADED_ADAM = 1 << 20
+
+
+def _on_halves(fn, work: list, *args) -> list:
+    """``fn(part, *args)`` for each half of ``work`` in order, cut after the
+    item where the running element count first reaches half of the total;
+    from _THREADED_ADAM elements on, and with more than one usable core, a
+    worker thread runs the second half while the caller runs the first."""
+    total = sum(g.size for _, _, g, _, _ in work)
+    if total >= _THREADED_ADAM and _usable_cores() > 1:
+        sizes = np.cumsum([g.size for _, _, g, _, _ in work])
+        cut = int(np.searchsorted(sizes, total / 2)) + 1
+        if cut < len(work):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                other = pool.submit(fn, work[cut:], *args)
+                return [fn(work[:cut], *args), other.result()]
+    return [fn(work, *args)]
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _first_non_finite(work: list) -> str | None:
+    return next((name for name, _, g, _, _ in work
+                 if not np.all(np.isfinite(g))), None)
+
+
+def _adam_update(work: list, lr, beta1, beta2, eps, bc1, bc2) -> None:
+    """Applies ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``
+    and ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` to each (name, parameter
+    data, gradient, m, v) in ``work``, in place and in that operation order,
+    with two scratch buffers sized for the largest parameter."""
+    size = max((g.size for _, _, g, _, _ in work), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    for _, data, g, m, v in work:
+        a = scratch_a[:g.size].reshape(g.shape)
+        b = scratch_b[:g.size].reshape(g.shape)
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, 1.0 - beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, bc1, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(data, a, out=data)
 
 
 # ---------------------------------------------------------------------------

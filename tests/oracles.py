@@ -9,6 +9,7 @@ tautology.
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 
@@ -216,3 +217,20 @@ def max_matching_ref(preds, gts, num_frames: int, threshold: float) -> int:
         return top
 
     return best(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# record container
+
+
+def encode_records_ref(records: dict) -> bytes:
+    """The checkpoint container written field by field: magic, version 1,
+    then per record its name, rank, extents and each value in C order."""
+    out = [b"DDMN", struct.pack("<I", 1)]
+    for name, value in records.items():
+        arr = np.asarray(value, dtype=np.float64)
+        key = name.encode("utf-8")
+        out += [struct.pack("<I", len(key)), key, struct.pack("<I", arr.ndim)]
+        out += [struct.pack("<Q", extent) for extent in arr.shape]
+        out += [struct.pack("<d", x) for x in arr.reshape(-1).tolist()]
+    return b"".join(out)

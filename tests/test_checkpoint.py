@@ -8,6 +8,8 @@ import pytest
 from ddm import checkpoint as ckpt
 from ddm.errors import DataError
 
+from oracles import encode_records_ref
+
 
 def _sample_records(seed=0):
     rng = np.random.default_rng(seed)
@@ -35,6 +37,21 @@ def test_save_is_deterministic(tmp_path):
     ckpt.save_records(a, _sample_records())
     ckpt.save_records(b, _sample_records())
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_save_writes_the_reference_encoding(tmp_path):
+    rng = np.random.default_rng(1)
+    records = _sample_records() | {
+        "zero-d": np.asarray(-0.0),
+        "float": 2.5,
+        "transposed": rng.standard_normal((3, 4)).T,
+        "strided": rng.standard_normal(10)[::3],
+        "float32": rng.standard_normal(3).astype(np.float32),
+    }
+    path = tmp_path / "state.ddmn"
+    ckpt.save_records(path, records)
+    assert path.read_bytes() == encode_records_ref(records)
+    assert ckpt.load_records(path)["zero-d"].shape == ()
 
 
 def test_bad_magic_reported_with_path(tmp_path):

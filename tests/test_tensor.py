@@ -370,6 +370,61 @@ def test_conv2d_skips_the_input_gradient_nobody_reads():
     assert grads[True][1:] == grads[False][1:]
 
 
+# (input shape, weight shape) of every matmul with a 2-D weight that the
+# paper and desk presets run in training, plus one transposed-input case
+MATMUL_WEIGHT_CASES = [
+    ((4, 5, 256), (256, 256)), ((4, 11, 256), (256, 256)),
+    ((4, 5, 256), (256, 512)), ((4, 5, 512), (512, 256)),
+    ((1, 5, 256), (256, 256)), ((4, 11, 11, 256), (256, 256)),
+    ((4, 11, 11, 256), (256, 1)), ((4, 256), (256, 2)),
+    ((32, 5, 64), (64, 64)), ((1, 5, 64), (64, 64)),
+    ((32, 11, 64), (64, 64)), ((32, 5, 64), (64, 128)),
+    ((32, 5, 128), (128, 64)), ((32, 11, 11, 64), (64, 64)),
+    ((32, 11, 11, 64), (64, 1)), ((32, 64), (64, 2)),
+]
+
+
+@pytest.mark.parametrize("ashape, bshape", MATMUL_WEIGHT_CASES)
+@pytest.mark.parametrize("transposed", [False, True])
+def test_matmul_weight_gradient_is_the_stacked_sum_bitwise(ashape, bshape,
+                                                           transposed):
+    rng = np.random.default_rng(7)
+    ad = rng.standard_normal(ashape)
+    if transposed:  # same values, last two axes not C-ordered
+        ad = np.ascontiguousarray(np.swapaxes(ad, -1, -2)).swapaxes(-1, -2)
+    a, b = T.parameter(ad), T.parameter(rng.standard_normal(bshape))
+    probe = rng.standard_normal(ashape[:-1] + bshape[-1:])
+    T.backward((T.matmul(a, b) * probe).sum())
+    stacked = np.matmul(np.swapaxes(ad, -1, -2), probe)
+    want = stacked.sum(axis=tuple(range(len(ashape) - 2))) + 0.0
+    assert b.grad.tobytes() == want.tobytes()
+
+
+def test_matmul_weight_gradient_rule_splits_the_preset_weights():
+    sliced = {bshape for ashape, bshape in MATMUL_WEIGHT_CASES
+              if len(ashape) > 2 and np.prod(bshape) >= T._SLICED_WEIGHT_GRAD}
+    assert sliced == {(256, 256), (256, 512), (512, 256)}
+
+
+def test_leaf_gradient_is_g_plus_zeros_bitwise():
+    signed = np.array([-0.0, 0.0, -1.5, 2.0])
+    p = T.parameter(np.ones(4))
+    T.backward((p * signed).sum())
+    want = signed + np.zeros_like(signed)
+    assert p.grad.tobytes() == want.tobytes()
+    assert not np.signbit(p.grad[0])
+    assert p.grad.flags.writeable and p.grad.flags.owndata
+
+
+def test_leaves_fed_by_one_add_get_their_own_arrays():
+    p, q = T.parameter(np.zeros((2, 3))), T.parameter(np.zeros((2, 3)))
+    T.backward((p + q).sum())
+    assert not np.shares_memory(p.grad, q.grad)
+    for leaf in (p, q):
+        assert leaf.grad.flags.writeable and leaf.grad.flags.owndata
+        assert leaf.grad.tolist() == [[1.0] * 3] * 2
+
+
 # -- tape mechanics ---------------------------------------------------------
 
 

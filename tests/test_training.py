@@ -1,6 +1,7 @@
 """Label assignment, balanced sampling, Adam, and the training loop."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ddm import rng as rngmod
 from ddm import tensor as T
+from ddm import training
 from ddm.checkpoint import load_records, save_records
 from ddm.config import (ClipSpec, GenSpec, ModelConfig, PostConfig, RunConfig,
                         TrainConfig)
@@ -223,6 +225,83 @@ def test_adam_rejects_non_finite_gradients():
         adam_step({"p": p}, state, lr=0.1)
 
 
+# uneven sizes, a 0-d parameter (like head/alpha) and one, p2, with no
+# gradient; the cut by element count falls after p0
+ADAM_SHAPES = [(300, 7), (), (5,), (1000,), (3, 4)]
+
+
+def test_adam_halves_match_one_pass_and_the_formula_bitwise(monkeypatch):
+    rng = np.random.default_rng(8)
+    starts = [rng.standard_normal(s) for s in ADAM_SHAPES]
+    grads = [[rng.standard_normal(s) for _ in range(3)] for s in ADAM_SHAPES]
+    grads[2] = [np.zeros(ADAM_SHAPES[2])] * 3
+    update = training._adam_update
+    runs = {}
+    # (usable cores, element threshold): only the middle run splits, since
+    # these 3118 elements stay below the real threshold
+    for cores, least in ((1, 0), (2, 0), (2, training._THREADED_ADAM)):
+        threads = set()
+
+        def spy(work, *args):
+            threads.add(threading.current_thread() is threading.main_thread())
+            update(work, *args)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda c=cores: c)
+        monkeypatch.setattr(training, "_THREADED_ADAM", least)
+        monkeypatch.setattr(training, "_adam_update", spy)
+        params = {f"p{i}": T.parameter(v.copy()) for i, v in enumerate(starts)}
+        state = adam_init(params)
+        for t in range(3):
+            for i, p in enumerate(params.values()):
+                p.grad = None if i == 2 else grads[i][t]
+            adam_step(params, state, lr=0.05)
+        split = cores == 2 and least == 0
+        assert threads == ({True, False} if split else {True})
+        runs[cores, least] = [a.tobytes() for name, p in params.items()
+                              for a in (p.data, state.m[name], state.v[name])]
+    first, *others = runs.values()
+    assert all(run == first for run in others)
+    expected = _adam_reference(starts, grads, 0.05, 0.9, 0.999, 1e-8)
+    assert first[::3] == [x.tobytes() for x in expected]
+
+
+def _snapshot(params, state):
+    return (state.step, [a.tobytes() for name, p in params.items()
+                         for a in (p.data, state.m[name], state.v[name])])
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_adam_rejects_a_non_finite_gradient_before_any_write(monkeypatch,
+                                                             cores):
+    monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(training, "_THREADED_ADAM", 0)
+    rng = np.random.default_rng(9)
+    params = {name: T.parameter(rng.standard_normal(n))
+              for name, n in (("a", 40), ("b", 3), ("c", 40))}
+    state = adam_init(params)
+    for p in params.values():
+        p.grad = rng.standard_normal(p.shape)
+    adam_step(params, state, lr=0.1)
+    params["b"].grad = np.array([0.0, np.nan, 1.0])
+    params["c"].grad = np.full(40, np.inf)
+    before = _snapshot(params, state)
+    with pytest.raises(NumericError, match="'b' at step 2"):
+        adam_step(params, state, lr=0.1)
+    assert _snapshot(params, state) == before
+
+
+def test_adam_rejects_a_gradient_of_another_shape():
+    params = {"a": T.parameter(np.ones(2)), "p": T.parameter(np.zeros(3))}
+    params["a"].grad = np.ones(2)
+    params["p"].grad = np.ones((2, 3))
+    state = adam_init(params)
+    before = _snapshot(params, state)
+    with pytest.raises(ContractError, match="'p'"):
+        adam_step(params, state, lr=0.1)
+    assert _snapshot(params, state) == before
+    assert params["p"].data.shape == state.m["p"].shape == (3,)
+
+
 # ---------------------------------------------------------------------------
 # the loop
 
@@ -359,6 +438,24 @@ def test_checkpoint_state_round_trip(tmp_path):
         assert np.array_equal(fresh.named_params()[name].data, params[name].data)
         assert np.array_equal(restored.m[name], state.m[name])
         assert np.array_equal(restored.v[name], state.v[name])
+
+
+def test_adam_steps_on_a_loaded_checkpoint_like_an_unbroken_run(tmp_path):
+    # the update writes into the loaded arrays, so they must be writable
+    model, state = stepped_model()
+    save_checkpoint(tmp_path / "ck.ddmn", model, state, epoch=0, seed=0)
+    resumed = BoundaryModel(TINY_MODEL, seed=2)
+    restored, _ = load_checkpoint(tmp_path / "ck.ddmn", resumed)
+    rng = np.random.default_rng(1)
+    grads = {name: rng.standard_normal(p.shape)
+             for name, p in model.named_params().items()}
+    for net, st in ((model, state), (resumed, restored)):
+        params = net.named_params()
+        for name, p in params.items():
+            p.grad = grads[name]
+        adam_step(params, st, lr=1e-3)
+    assert _snapshot(resumed.named_params(), restored) == \
+        _snapshot(model.named_params(), state)
 
 
 def test_checkpoint_bytes_are_the_documented_record_order(tmp_path):
