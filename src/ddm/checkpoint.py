@@ -1,6 +1,12 @@
-"""Self-describing binary container for named float64 arrays.
+"""The package's file layer: the atomic writer, the one reader, and the
+``.ddmn`` container of named float64 arrays.
 
-Layout (all integers little-endian):
+Every file is written through :func:`atomic_file` (temp file, then atomic
+rename, so a crash never leaves a half-written file under the final name)
+and read through :func:`read_file`.  ``.ddmn`` and ``.ddmf`` files open
+with a 4-byte magic and a u32 version, checked by :func:`check_header`.
+
+``.ddmn`` layout (all integers little-endian):
 
     magic   4 bytes  b"DDMN"
     version u32
@@ -10,14 +16,13 @@ Layout (all integers little-endian):
         values float64 little-endian, C order
 
 Checkpoints and optimiser state both use this container; a
-round trip is bit-exact because values are stored verbatim.  Writes go
-through a temp file in the target directory followed by an atomic rename,
-so a crash never leaves a half-written file under the final name.
+round trip is bit-exact because values are stored verbatim.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import tempfile
@@ -31,10 +36,9 @@ VERSION = 1
 
 
 @contextlib.contextmanager
-def _atomic_file(path: str | os.PathLike):
+def atomic_file(path: str | os.PathLike):
     """A binary file handle whose contents replace ``path`` by temp-file +
     rename once the block exits normally; on error the temp file goes."""
-    path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -47,19 +51,37 @@ def _atomic_file(path: str | os.PathLike):
         raise
 
 
-def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via temp-file + rename."""
-    with _atomic_file(path) as fh:
-        fh.write(payload)
-
-
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def read_file(path: str | os.PathLike, error=DataError) -> bytes:
+    """The bytes of ``path``; an ``OSError`` raises ``error`` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as err:
+        raise error(f"cannot read {path}: {err}") from err
+
+
+def check_header(path, blob: bytes, magic: bytes, version: int, size: int,
+                 what: str) -> None:
+    """Raise a ``DataError`` unless ``blob`` opens with ``magic`` and the
+    u32 ``version`` in a header of at least ``size`` bytes."""
+    if blob[:4] != magic:
+        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
+    if len(blob) < size:
+        raise DataError(f"{path}: {what} header cut at {len(blob)} bytes")
+    (found,) = struct.unpack_from("<I", blob, 4)
+    if found != version:
+        raise DataError(f"{path}: unsupported {what} version {found}, "
+                        f"expected {version}")
 
 
 def save_records(path: str | os.PathLike, records: dict[str, np.ndarray]) -> None:
     """Serialise named arrays in dict order, each straight to the file."""
-    with _atomic_file(path) as fh:
+    with atomic_file(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for name, value in records.items():
@@ -71,27 +93,13 @@ def save_records(path: str | os.PathLike, records: dict[str, np.ndarray]) -> Non
             for extent in arr.shape:
                 fh.write(struct.pack("<Q", extent))
             # a C-contiguous array is its own buffer; others are copied
-            if arr.ndim and arr.flags.c_contiguous:
-                fh.write(arr)
-            else:
-                fh.write(arr.tobytes(order="C"))
+            fh.write(np.ascontiguousarray(arr))
 
 
 def load_records(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Read a record container back; preserves record order."""
-    path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err}") from err
-    if len(blob) < 8 or blob[:4] != MAGIC:
-        raise DataError(
-            f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise DataError(
-            f"{path}: unsupported format version {version}, expected {VERSION}")
+    blob = read_file(path)
+    check_header(path, blob, MAGIC, VERSION, 8, "format")
     records: dict[str, np.ndarray] = {}
     offset = 8
     total = len(blob)
@@ -116,9 +124,7 @@ def load_records(path: str | os.PathLike) -> dict[str, np.ndarray]:
         need(8 * rank, f"extents of {name!r}")
         shape = struct.unpack_from(f"<{rank}Q", blob, offset)
         offset += 8 * rank
-        count = 1
-        for extent in shape:
-            count *= extent
+        count = math.prod(shape)
         need(8 * count, f"values of {name!r}")
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += 8 * count

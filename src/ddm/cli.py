@@ -67,10 +67,10 @@ OVERRIDES = {
     "window": (("post.window",),
                dict(type=int, help="local-maximum half width in grid steps")),
     "matching": (("eval.matching",),
-                 dict(choices=("optimal", "greedy"),
+                 dict(choices=configmod.MATCHINGS,
                       help="how predictions are paired with boundaries")),
     "aggregation": (("eval.aggregation",),
-                    dict(choices=("global", "per-video"),
+                    dict(choices=configmod.AGGREGATIONS,
                          help="pool counts or average per-video scores")),
 }
 
@@ -147,7 +147,7 @@ def cmd_infer(args) -> int:
     for video in videos if args.plot else ():
         # the id becomes a file name under plots/
         if video.video_id in ("", ".", "..") or any(
-                c in video.video_id for c in "/\\"):
+                c in video.video_id for c in "/\\\0"):
             raise DataError(f"{args.data}: video id {video.video_id!r} is "
                             f"not a plain file name, so it cannot name a plot")
     model = BoundaryModel(cfg.model, seed=cfg.train.seed)

@@ -6,8 +6,9 @@ run can snapshot the exact configuration it executed with.  Two presets are
 provided: ``desk`` (small widths, large learning rate -- minutes on a CPU)
 and ``paper`` (full-scale hyperparameters: window 5, clip stride 6, three
 spatial and three temporal levels, five queries, six-layer decoders,
-learning rate 1e-5).  :func:`typed` decodes every JSON value the package
-reads: configs, and the dataclass records of JSON-lines files.
+learning rate 1e-5).  Every JSON input -- a config, or a line of a
+JSON-lines file -- is decoded from UTF-8 by :func:`parse_json`, then into a
+config or dataclass record by :func:`typed`.
 
 Each config dataclass checks its values in ``__post_init__``, so an invalid
 config cannot be built, whether by its constructor, ``dataclasses.replace``
@@ -19,16 +20,19 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 import typing
 from dataclasses import dataclass, field
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, read_file
 from .errors import ConfigError, DataError
 
 METRICS = ("euclidean", "manhattan", "chebyshev", "cosine")
 ABLATIONS = ("none", "rgb-only", "ddm-only", "avg-pool", "intra-only",
              "cross-only")
 REGIMES = ("color-shift", "appear-disappear", "velocity-change")
+MATCHINGS = ("optimal", "greedy")
+AGGREGATIONS = ("global", "per-video")
 
 
 @dataclass(frozen=True)
@@ -174,17 +178,17 @@ class EvalConfig:
     """Relative-distance matching thresholds and aggregation choices."""
 
     thresholds: tuple[float, ...] = tuple((k + 1) / 20 for k in range(10))
-    matching: str = "optimal"   # or "greedy"
-    aggregation: str = "global"  # or "per-video"
+    matching: str = "optimal"
+    aggregation: str = "global"
 
     def __post_init__(self) -> None:
         if not self.thresholds or any(not 0.0 < t <= 1.0 for t in self.thresholds):
             raise ConfigError(f"bad threshold list {self.thresholds}")
         if list(self.thresholds) != sorted(self.thresholds):
             raise ConfigError("thresholds must be sorted ascending")
-        if self.matching not in ("optimal", "greedy"):
+        if self.matching not in MATCHINGS:
             raise ConfigError(f"unknown matching {self.matching!r}")
-        if self.aggregation not in ("global", "per-video"):
+        if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
 
 
@@ -269,8 +273,9 @@ def typed(where: str, hint, value, error=ConfigError):
 
     A dataclass takes an object holding every field that has no default and
     no other key.  Ints must be ints (not floats, strings or bools), floats
-    take ints too, lists become tuples checked item by item, and ``X | None``
-    takes null.  A mismatch raises ``error`` naming the field's path.
+    take ints too but only finite values that fit a float, lists become
+    tuples checked item by item, and ``X | None`` takes null.  A mismatch
+    raises ``error`` naming the field's path.
     """
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
@@ -299,6 +304,9 @@ def typed(where: str, hint, value, error=ConfigError):
     allowed = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise error(f"{where} must be {hint.__name__}, got {value!r}")
+    # NaN fails the comparison; a Python int compares exactly
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise error(f"{where} must be a finite float, got {value!r}")
     return value
 
 
@@ -306,12 +314,19 @@ def from_dict(payload) -> RunConfig:
     return typed("config", RunConfig, payload)
 
 
-def loads(text: str) -> RunConfig:
+def parse_json(where: str, raw: bytes, error=ConfigError):
+    """The JSON value of the UTF-8 bytes ``raw``; undecodable bytes, bad
+    JSON or nesting too deep to decode raise ``error`` naming ``where``."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    return from_dict(payload)
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise error(f"{where}: not UTF-8: {err}") from err
+    except (ValueError, RecursionError) as err:  # also huge ints, deep nests
+        raise error(f"{where}: bad JSON: {err}") from err
+
+
+def loads(text: str) -> RunConfig:
+    return from_dict(parse_json("config", text.encode("utf-8")))
 
 
 def dumps(cfg: RunConfig) -> str:
@@ -319,11 +334,7 @@ def dumps(cfg: RunConfig) -> str:
 
 
 def load_file(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+    return from_dict(parse_json(path, read_file(path, ConfigError)))
 
 
 def write_jsonl(path, records) -> None:
@@ -334,22 +345,15 @@ def write_jsonl(path, records) -> None:
 
 def read_jsonl(path, cls) -> list[tuple[int, object]]:
     """(line number, ``cls`` record) for each non-blank line of ``path``;
-    a malformed line raises a ``DataError`` naming ``path:line.field``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err}") from err
+    a malformed line raises a ``DataError`` naming ``path:line.field``.
+    Lines end at LF, CR or CRLF only, never at a U+2028 in a string."""
     records = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_file(path).splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise DataError(f"{path}:{lineno}: bad JSON: {err}") from err
-        records.append((lineno, typed(f"{path}:{lineno}", cls, value,
-                                      DataError)))
+        where = f"{path}:{lineno}"
+        value = parse_json(where, line, DataError)
+        records.append((lineno, typed(where, cls, value, DataError)))
     return records
 
 

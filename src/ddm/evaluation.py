@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EvalConfig
+from .config import MATCHINGS, EvalConfig
 from .errors import ContractError, DataError
 
 log = logging.getLogger("ddm.evaluation")
@@ -29,7 +29,7 @@ log = logging.getLogger("ddm.evaluation")
 def match_count(preds, truths, num_frames: int, threshold: float,
                 method: str = "optimal") -> int:
     """Number of matched prediction/boundary pairs; inputs may be unsorted."""
-    if method not in ("optimal", "greedy"):
+    if method not in MATCHINGS:
         raise ContractError(f"unknown matching method {method!r}")
     if num_frames < 1:
         raise ContractError("video has no frames")

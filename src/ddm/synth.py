@@ -17,6 +17,8 @@ file per video:
     manifest line: one ``ManifestEntry`` as a JSON object, its fields as
                    keys, every value strictly typed (see ``config.typed``)
 
+Both are written and read through the file layer in ``checkpoint``.
+
 Generation is deterministic: every video derives its own random stream from
 ``(seed, GEN, key(video_id))``, so worker counts and generation order can
 never change the corpus.
@@ -25,7 +27,6 @@ never change the corpus.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 import os
 import struct
@@ -34,9 +35,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import rng as rngmod
-from .checkpoint import atomic_write_bytes
+from .checkpoint import atomic_file, check_header, read_file
 from .config import GenSpec, read_jsonl, write_jsonl
-from .errors import ConfigError, ContractError, DataError
+from .errors import ContractError, DataError
 
 FRAMES_MAGIC = b"DDMF"
 FRAMES_VERSION = 1
@@ -192,34 +193,20 @@ def generate_dataset(spec: GenSpec, workers: int = 1) -> list[VideoRecord]:
 # frames file format
 
 
-def frames_bytes(frames: np.ndarray) -> bytes:
-    arr = np.asarray(frames, dtype="<f4")
+def write_frames(path, frames: np.ndarray) -> None:
+    """The 24-byte header, then the frames as C-ordered ``<f4`` values."""
+    arr = np.ascontiguousarray(frames, dtype="<f4")
     if arr.ndim != 4:
         raise DataError(f"frames must be (E,H,W,C), got shape {arr.shape}")
-    buf = io.BytesIO()
-    buf.write(FRAMES_MAGIC)
-    buf.write(struct.pack("<I", FRAMES_VERSION))
-    buf.write(struct.pack("<4I", *arr.shape))
-    buf.write(arr.tobytes(order="C"))
-    return buf.getvalue()
-
-
-def write_frames(path, frames: np.ndarray) -> None:
-    atomic_write_bytes(path, frames_bytes(frames))
+    with atomic_file(path) as fh:
+        fh.write(FRAMES_MAGIC)
+        fh.write(struct.pack("<5I", FRAMES_VERSION, *arr.shape))
+        fh.write(arr)
 
 
 def read_frames(path) -> np.ndarray:
-    path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read frames file {path}: {err}") from err
-    if len(blob) < 24 or blob[:4] != FRAMES_MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {FRAMES_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FRAMES_VERSION:
-        raise DataError(f"{path}: unsupported frames version {version}")
+    blob = read_file(path)
+    check_header(path, blob, FRAMES_MAGIC, FRAMES_VERSION, 24, "frames")
     shape = struct.unpack_from("<4I", blob, 8)
     count = math.prod(shape)  # Python ints: four large extents cannot wrap
     expected = 24 + 4 * count
@@ -242,7 +229,6 @@ def read_frames(path) -> np.ndarray:
 
 
 def write_dataset(records: list[VideoRecord], out_dir) -> str:
-    out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "frames"), exist_ok=True)
     entries = []
     for rec in records:
@@ -280,8 +266,8 @@ def read_manifest(data_dir, split: str | None = None) -> list[ManifestEntry]:
             raise DataError(
                 f"{manifest}:{lineno}: boundaries must be strictly increasing "
                 f"and inside (0, {entry.num_frames}), got {list(bt)}")
-        if os.path.isabs(entry.frames_file) or os.pardir in \
-                entry.frames_file.split("/"):
+        if os.path.isabs(entry.frames_file) or "\0" in entry.frames_file \
+                or os.pardir in entry.frames_file.split("/"):
             raise DataError(
                 f"{manifest}:{lineno}: frames_file {entry.frames_file!r} "
                 f"must be a relative path inside the dataset directory")
@@ -293,7 +279,6 @@ def read_manifest(data_dir, split: str | None = None) -> list[ManifestEntry]:
 
 
 def read_dataset(data_dir, split: str | None = None) -> list[VideoRecord]:
-    data_dir = os.fspath(data_dir)
     records = []
     for entry in read_manifest(data_dir, split):
         frames = read_frames(os.path.join(data_dir, entry.frames_file))

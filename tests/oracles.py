@@ -220,7 +220,17 @@ def max_matching_ref(preds, gts, num_frames: int, threshold: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# record container
+# file formats
+
+
+def encode_frames_ref(frames) -> bytes:
+    """A frames file written field by field: magic, version 1, the four
+    extents, then each value rounded to a float32, in C order."""
+    arr = np.asarray(frames, dtype=np.float64)
+    out = [b"DDMF", struct.pack("<I", 1)]
+    out += [struct.pack("<I", extent) for extent in arr.shape]
+    out += [struct.pack("<f", x) for x in arr.reshape(-1).tolist()]
+    return b"".join(out)
 
 
 def encode_records_ref(records: dict) -> bytes:

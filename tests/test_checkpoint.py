@@ -65,7 +65,7 @@ def test_bad_magic_reported_with_path(tmp_path):
 def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "future.ddmn"
     path.write_bytes(ckpt.MAGIC + struct.pack("<I", ckpt.VERSION + 1))
-    with pytest.raises(DataError, match="version"):
+    with pytest.raises(DataError, match="unsupported format version 2"):
         ckpt.load_records(path)
 
 
@@ -75,7 +75,7 @@ def test_truncated_file_rejected(tmp_path):
     blob = path.read_bytes()
     cut = tmp_path / "cut.ddmn"
     cut.write_bytes(blob[:-5])
-    with pytest.raises(DataError, match="truncated"):
+    with pytest.raises(DataError, match="truncated while reading"):
         ckpt.load_records(cut)
 
 
@@ -86,6 +86,6 @@ def test_missing_file_rejected(tmp_path):
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.bin"
-    ckpt.atomic_write_bytes(path, b"payload")
+    ckpt.atomic_write_text(path, "payload")
     assert path.read_bytes() == b"payload"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -119,7 +119,8 @@ def test_infer_plot_writes_svg(pipeline, tmp_path):
         (pipeline.pred / "predictions.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b", ".", "..", ""])
+@pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b", ".", "..", "",
+                                    "a\0b"])
 def test_infer_plot_rejects_an_id_that_is_not_a_file_name(pipeline, tmp_path,
                                                           capsys, bad_id):
     data = tmp_path / "data"
@@ -232,6 +233,44 @@ def test_bad_config_json_exits_1(tmp_path):
                       str(tmp_path / "d"), "--out", str(tmp_path / "r")]) == 1
 
 
+def _one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {start}")
+
+
+# a file that is not UTF-8, and a JSON value nested 100 000 deep
+UNDECODABLE = [pytest.param(b'{"gen": "\xff"}', id="not-utf8"),
+               pytest.param(b"[" * 100000 + b"]" * 100000, id="nested")]
+
+
+@pytest.mark.parametrize("blob", UNDECODABLE)
+def test_undecodable_config_exits_1(tmp_path, capsys, blob):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(blob)
+    assert entry(["gen-data", "--config", str(cfg),
+                  "--out", str(tmp_path / "d")]) == 1
+    _one_error_line(capsys, f"{cfg}: ")
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("gen-data", '{"gen": {"train_videos": 8, "val_videos": 0, '
+                 '"speed": NaN}}', "gen.speed"),
+    ("gen-data", '{"gen": {"jitter": 1e999}}', "gen.jitter"),
+    ("train", '{"train": {"lr": NaN, "eps": Infinity}}', "train.lr"),
+    ("train", '{"train": {"lr": 1' + "0" * 400 + '}}', "train.lr"),
+], ids=["speed-nan", "jitter-overflow", "lr-nan", "lr-huge-int"])
+def test_non_finite_config_float_exits_1(tmp_path, capsys, command, text,
+                                         field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "train":
+        args += ["--data", str(tmp_path)]
+    assert entry(args) == 1
+    _one_error_line(capsys, f"config.{field} must be a finite float")
+
+
 def test_invalid_override_exits_1(pipeline, tmp_path):
     assert entry(["infer", "--config", str(pipeline.cfg),
                   "--data", str(pipeline.data),
@@ -341,6 +380,8 @@ PREDICTION_CASES = [
     pytest.param(prediction_line(positions=DROP), ".positions",
                  id="missing-key"),
     pytest.param("[1, 2]", " must be an object", id="line-not-object"),
+    pytest.param(prediction_line(scores=[float("nan")]), ".scores[0]",
+                 id="score-nan"),
 ]
 
 
@@ -355,9 +396,7 @@ def test_read_predictions_rejects_mistyped_lines(tmp_path, line, named):
 def _eval_fails_with_one_error_line(capsys, data, preds, where):
     assert entry(["eval", "--data", str(data),
                   "--predictions", str(preds)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.count("\n") == 1 and err.startswith(f"error: {where}")
+    _one_error_line(capsys, where)
 
 
 @pytest.mark.parametrize("line, named", PREDICTION_CASES)
@@ -378,6 +417,26 @@ def test_eval_mistyped_manifest_exit_2(pipeline, tmp_path, capsys,
     _eval_fails_with_one_error_line(
         capsys, tmp_path, pipeline.pred / "predictions.jsonl",
         f"{manifest}:1{named}")
+
+
+@pytest.mark.parametrize("blob", UNDECODABLE)
+def test_eval_undecodable_manifest_exit_2(pipeline, tmp_path, capsys, blob):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(
+        (pipeline.data / "manifest.jsonl").read_bytes() + blob + b"\n")
+    lineno = len(manifest.read_bytes().splitlines())
+    _eval_fails_with_one_error_line(
+        capsys, tmp_path, pipeline.pred / "predictions.jsonl",
+        f"{manifest}:{lineno}: ")
+
+
+@pytest.mark.parametrize("blob", UNDECODABLE)
+def test_eval_undecodable_predictions_exit_2(pipeline, tmp_path, capsys,
+                                             blob):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(prediction_line().encode() + b"\n" + blob + b"\n")
+    _eval_fails_with_one_error_line(capsys, pipeline.data, preds,
+                                    f"{preds}:2: ")
 
 
 def test_predictions_without_scores_evaluate(pipeline, tmp_path, capsys):

@@ -129,6 +129,11 @@ def test_unknown_field_rejected():
     ({"gen": {"regimes": ["color-shift", 3]}}, "gen.regimes"),
     ({"train": {"batch_size": 2.5}}, "train.batch_size"),
     ({"eval_stride": "3"}, "eval_stride"),
+    ({"gen": {"speed": float("nan")}}, "gen.speed"),
+    ({"gen": {"jitter": float("inf")}}, "gen.jitter"),
+    ({"train": {"eps": -float("inf")}}, "train.eps"),
+    ({"train": {"lr": 10 ** 400}}, "train.lr"),
+    ({"eval": {"thresholds": [0.1, float("nan")]}}, "eval.thresholds[1]"),
 ])
 def test_wrong_typed_values_rejected_with_their_field(payload, where):
     with pytest.raises(ConfigError, match=re.escape(where)):

@@ -11,6 +11,8 @@ from ddm import synth
 from ddm.config import GenSpec
 from ddm.errors import ContractError, DataError
 
+from oracles import encode_frames_ref
+
 
 COLOR_ONLY = GenSpec(train_videos=4, val_videos=2, min_frames=40,
                      max_frames=60, min_events=2, max_events=3,
@@ -177,6 +179,27 @@ def test_manifest_frame_count_mismatch_rejected(tmp_path):
         synth.read_dataset(tmp_path)
 
 
+def test_short_frames_header_rejected(tmp_path):
+    path = tmp_path / "short.ddmf"
+    path.write_bytes(synth.FRAMES_MAGIC
+                     + struct.pack("<2I", synth.FRAMES_VERSION, 5))
+    with pytest.raises(DataError, match="frames header cut at 12 bytes"):
+        synth.read_frames(path)
+
+
+@pytest.mark.parametrize("layout", ["c-contiguous", "transposed", "float64",
+                                    "strided"])
+def test_write_frames_matches_the_reference_encoding(tmp_path, layout):
+    base = np.random.default_rng(3).random((4, 5, 6, 3))
+    frames = {"c-contiguous": base.astype(np.float32),
+              "transposed": base.astype(np.float32).transpose(0, 2, 1, 3),
+              "float64": base,
+              "strided": base.astype(np.float32)[::2, :, ::3]}[layout]
+    path = tmp_path / "clip.ddmf"
+    synth.write_frames(path, frames)
+    assert path.read_bytes() == encode_frames_ref(frames)
+
+
 def test_frames_file_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     frames = rng.random((5, 6, 7, 3), dtype=np.float32)
@@ -227,6 +250,8 @@ MANIFEST_CASES = [
     pytest.param(manifest_line(fps=25), ".fps", id="unknown-key"),
     pytest.param(manifest_line(split=DROP), ".split", id="missing-key"),
     pytest.param("[1, 2]", " must be an object", id="line-not-object"),
+    pytest.param(manifest_line(frames_file="frames/val\0.ddmf"),
+                 ": frames_file", id="frames-file-nul"),
 ]
 
 
@@ -243,6 +268,14 @@ def test_read_manifest_decodes_a_valid_line(tmp_path):
     assert synth.read_manifest(tmp_path) == [synth.ManifestEntry(
         id="val-0009", num_frames=19, frames_file="frames/val-0009.ddmf",
         boundaries=(5, 12), split="val")]
+
+
+def test_line_separators_inside_a_manifest_string_are_kept(tmp_path):
+    video_id = "val\u2028\x85\u20290009"
+    line = json.dumps(json.loads(manifest_line(id=video_id)),
+                      ensure_ascii=False)
+    (tmp_path / "manifest.jsonl").write_text(line + "\n", encoding="utf-8")
+    assert [e.id for e in synth.read_manifest(tmp_path)] == [video_id]
 
 
 def test_manifest_round_trip(tmp_path):
